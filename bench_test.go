@@ -10,6 +10,7 @@
 package prophet_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
 	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/synth"
 	"prophet/internal/trace"
 	"prophet/internal/tree"
@@ -66,9 +68,9 @@ func BenchmarkFig7(b *testing.B) {
 // reduced sample count per iteration.
 func BenchmarkFig11Validation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig11(experiments.Config{
+		res := experiments.NewCtx(context.Background(), experiments.Config{
 			Machine: benchMachine(), Samples: 2, Seed: int64(i + 1),
-		})
+		}).Fig11()
 		if len(res.Cases) != 6 {
 			b.Fatal("bad result")
 		}
@@ -80,7 +82,7 @@ func BenchmarkFig11Validation(b *testing.B) {
 func BenchmarkFig12Benchmarks(b *testing.B) {
 	cfg := experiments.Config{Machine: benchMachine(), Cores: []int{2, 12}}
 	for i := 0; i < b.N; i++ {
-		s := experiments.Fig12(cfg, []string{"NPB-EP", "NPB-FT"})
+		s := experiments.NewCtx(context.Background(), cfg).Fig12([]string{"NPB-EP", "NPB-FT"})
 		if len(s) != 2 {
 			b.Fatal("bad series")
 		}
@@ -91,7 +93,7 @@ func BenchmarkFig12Benchmarks(b *testing.B) {
 func BenchmarkPsiCalibration(b *testing.B) {
 	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
-		m, _, err := memmodel.Calibrate(mc, []int{2, 4, 8, 12})
+		m, _, err := memmodel.CalibrateCtx(context.Background(), mc, []int{2, 4, 8, 12})
 		if err != nil || m.Phi.B >= 0 {
 			b.Fatalf("calibration bad: %v", err)
 		}
@@ -112,7 +114,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable3Overheads(b *testing.B) {
 	cfg := experiments.Config{Machine: benchMachine()}
 	for i := 0; i < b.N; i++ {
-		if t := experiments.Table3(cfg, []string{"NPB-EP"}); len(t.Rows) != 1 {
+		if t := experiments.NewCtx(context.Background(), cfg).Table3([]string{"NPB-EP"}); len(t.Rows) != 1 {
 			b.Fatal("bad table")
 		}
 	}
@@ -196,7 +198,7 @@ func benchName(tol float64) string {
 // (Table III's "time overhead per estimate", FF column).
 func BenchmarkFFEmulator(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,8 +206,8 @@ func BenchmarkFFEmulator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if e.Speedup(prof.Tree) <= 0 {
-			b.Fatal("bad speedup")
+		if s, err := e.SpeedupCtx(context.Background(), prof.Tree); err != nil || s <= 0 {
+			b.Fatalf("bad speedup %v: %v", s, err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "estimates/sec")
@@ -215,15 +217,15 @@ func BenchmarkFFEmulator(b *testing.B) {
 // (Table III, SYN column).
 func BenchmarkSynthesizer(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := &synth.Synthesizer{Threads: 8, Sched: omprt.SchedStatic, Machine: benchMachine(), OmpOv: omprt.DefaultOverheads()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.Speedup(prof.Tree) <= 0 {
-			b.Fatal("bad speedup")
+		if sp, err := s.SpeedupCtx(context.Background(), prof.Tree); err != nil || sp <= 0 {
+			b.Fatalf("bad speedup %v: %v", sp, err)
 		}
 	}
 }
@@ -234,7 +236,7 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, st := sim.Run(benchMachine(), func(t *sim.Thread) {
+		_, st := simtest.Run(b, benchMachine(), func(t *sim.Thread) {
 			ws := make([]*sim.Thread, 0, 24)
 			for k := 0; k < 24; k++ {
 				ws = append(ws, t.Spawn(func(w *sim.Thread) {
@@ -262,7 +264,7 @@ func BenchmarkSimEngineSpec(b *testing.B) {
 	cfg := sim.Config{Spec: machine.Default(), ContextSwitch: -1}
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, st := sim.Run(cfg, func(t *sim.Thread) {
+		_, st := simtest.Run(b, cfg, func(t *sim.Thread) {
 			ws := make([]*sim.Thread, 0, 24)
 			for k := 0; k < 24; k++ {
 				ws = append(ws, t.Spawn(func(w *sim.Thread) {
@@ -289,7 +291,7 @@ func BenchmarkDRAMContention(b *testing.B) {
 		b.Run(map[int]string{1: "t=1", 4: "t=4", 8: "t=8", 12: "t=12"}[threads], func(b *testing.B) {
 			mc := benchMachine()
 			for i := 0; i < b.N; i++ {
-				end, _ := sim.Run(mc, func(t *sim.Thread) {
+				end, _ := simtest.Run(b, mc, func(t *sim.Thread) {
 					ws := make([]*sim.Thread, 0, threads-1)
 					body := func(w *sim.Thread) { w.WorkMem(0, 10_000) }
 					for k := 1; k < threads; k++ {
@@ -312,15 +314,15 @@ func BenchmarkDRAMContention(b *testing.B) {
 // at 12 threads (the cost basis for the evaluation harness).
 func BenchmarkRealGroundTruth(b *testing.B) {
 	w, _ := workloads.ByName("NPB-EP")
-	prof, err := prophet.ProfileProgram(w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := prof.RealSpeedup(prophet.Request{Threads: 12, Sched: w.Sched})
-		if s < 1 {
-			b.Fatal("bad speedup")
+		s, err := prof.RealSpeedupCtx(context.Background(), prophet.Request{Threads: 12, Sched: w.Sched})
+		if err != nil || s < 1 {
+			b.Fatalf("bad speedup %v: %v", s, err)
 		}
 	}
 }
@@ -345,7 +347,10 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			mc := sim.Config{Cores: 2, Quantum: q, ContextSwitch: -1}
 			for i := 0; i < b.N; i++ {
-				s := realrun.Speedup(root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
+				s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(s, "speedup")
 			}
 		})
@@ -398,12 +403,19 @@ func BenchmarkPipelineSchedules(b *testing.B) {
 	b.Run("ff", func(b *testing.B) {
 		e := &ff.Emulator{Threads: 3, Sched: omprt.SchedStatic}
 		for i := 0; i < b.N; i++ {
-			b.ReportMetric(e.Speedup(root), "speedup")
+			s, err := e.SpeedupCtx(context.Background(), root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(s, "speedup")
 		}
 	})
 	b.Run("machine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := realrun.Speedup(root, realrun.Config{Machine: benchMachine(), Threads: 3})
+			s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: benchMachine(), Threads: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(s, "speedup")
 		}
 	})

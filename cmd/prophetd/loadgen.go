@@ -17,6 +17,7 @@ import (
 
 	"prophet"
 	"prophet/internal/server"
+	"prophet/internal/workloads"
 )
 
 // prophetd loadgen hammers a running daemon with a deterministic mix of
@@ -28,7 +29,8 @@ import (
 // A 429 is not a failure: the generator honours the server's
 // Retry-After advisory (capped by -max-backoff) for up to -max-retries
 // attempts per request, the way a well-behaved client rides out
-// backpressure.
+// backpressure. The exit status is non-zero on any transport failure and
+// when no request at all was answered 200.
 //
 // With -addrs the same stream is spread round-robin over a replica
 // fleet — the cluster scenario: per-replica counts expose a dead or
@@ -45,7 +47,7 @@ func loadgenMain(args []string) int {
 		addrsFlag  = fs.String("addrs", "", "comma-separated base URLs of a replica fleet (round-robin; overrides -addr)")
 		n          = fs.Int("n", 200, "total requests to issue")
 		c          = fs.Int("c", 8, "concurrent clients")
-		bench      = fs.String("bench", "MD-OMP", "comma-separated workloads to exercise")
+		bench      = fs.String("bench", "MD-OMP", `comma-separated workloads to exercise ("all" = every benchmark)`)
 		sweepFrac  = fs.Float64("sweep-frac", 0.25, "fraction of requests that are sweeps (rest are predicts)")
 		coresFlag  = fs.String("cores", "2,4,6,8,10,12", "core counts drawn from")
 		seed       = fs.Int64("seed", 1, "request-mix seed (same seed = same request stream)")
@@ -61,9 +63,12 @@ func loadgenMain(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	var names []string
-	for _, b := range strings.Split(*bench, ",") {
-		names = append(names, strings.TrimSpace(b))
+	names := workloads.Names()
+	if *bench != "all" {
+		names = names[:0]
+		for _, b := range strings.Split(*bench, ",") {
+			names = append(names, strings.TrimSpace(b))
+		}
 	}
 	targets := []string{strings.TrimRight(*addr, "/")}
 	if *addrsFlag != "" {
@@ -251,7 +256,7 @@ func loadgenMain(args []string) int {
 				pct(ls, 0.99).Round(time.Microsecond))
 		}
 	}
-	if failures > 0 {
+	if failures > 0 || statuses[http.StatusOK] == 0 {
 		return 1
 	}
 	return 0

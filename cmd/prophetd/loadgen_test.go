@@ -56,6 +56,39 @@ func TestLoadgenPerStreamPercentiles(t *testing.T) {
 	}
 }
 
+// TestLoadgenBenchAllAndExitCode: "-bench all" expands to every
+// registered workload (not a workload literally named "all"), and a run
+// in which no request is answered 200 exits non-zero.
+func TestLoadgenBenchAllAndExitCode(t *testing.T) {
+	srv := server.New(server.Config{Cores: []int{2}, DisableMemoryModel: true})
+	if err := srv.Load(context.Background()); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	run := func(bench string) (int, string) {
+		var code int
+		out := captureStdout(t, func() {
+			code = loadgenMain([]string{
+				"-addr", ts.URL, "-n", "16", "-c", "2", "-bench", bench,
+				"-cores", "2", "-sweep-frac", "0", "-seed", "1",
+			})
+		})
+		return code, out
+	}
+	if code, out := run("all"); code != 0 || strings.Contains(out, "HTTP 404") || !strings.Contains(out, "HTTP 200: 16") {
+		t.Errorf("-bench all: exit %d, want 0 and sixteen 200s:\n%s", code, out)
+	}
+	if code, out := run("no-such-workload"); code == 0 {
+		t.Errorf("no 200 answered, yet exit 0:\n%s", out)
+	}
+}
+
 func captureStdout(t *testing.T, fn func()) string {
 	t.Helper()
 	old := os.Stdout

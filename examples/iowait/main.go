@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,8 +28,9 @@ func fetchComputeStore(ctx prophet.Context) {
 }
 
 func main() {
+	ctx := context.Background()
 	machine := prophet.MachineConfig{Cores: 4}
-	prof, err := prophet.ProfileProgram(fetchComputeStore, &prophet.Options{Machine: machine})
+	prof, err := prophet.ProfileProgramCtx(ctx, fetchComputeStore, &prophet.Options{Machine: machine})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,13 +38,22 @@ func main() {
 	fmt.Println()
 	fmt.Println("threads   synthesizer   FF (treats waits as compute)   real (machine)")
 	for _, threads := range []int{2, 4, 8, 16} {
-		syn := prof.Estimate(prophet.Request{
+		syn, err := prof.EstimateCtx(ctx, prophet.Request{
 			Method: prophet.Synthesizer, Threads: threads, Sched: prophet.Dynamic1,
 		})
-		ffp := prof.Estimate(prophet.Request{
+		if err != nil {
+			log.Fatal(err)
+		}
+		ffp, err := prof.EstimateCtx(ctx, prophet.Request{
 			Method: prophet.FastForward, Threads: threads, Sched: prophet.Dynamic1,
 		})
-		real := prof.RealSpeedup(prophet.Request{Threads: threads, Sched: prophet.Dynamic1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		real, err := prof.RealSpeedupCtx(ctx, prophet.Request{Threads: threads, Sched: prophet.Dynamic1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%7d   %11.2f   %28.2f   %14.2f\n", threads, syn.Speedup, ffp.Speedup, real)
 	}
 	fmt.Println()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,8 @@ func streamProgram(ctx prophet.Context) {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(streamProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, streamProgram, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,11 +44,20 @@ func main() {
 	fmt.Println("\ncores   Pred (no mem model)   PredM (with)   Real (machine)")
 	for _, cores := range prophet.DefaultThreadCounts() {
 		base := prophet.Request{Method: prophet.Synthesizer, Threads: cores, Sched: prophet.Static}
-		pred := prof.Estimate(base)
+		pred, err := prof.EstimateCtx(ctx, base)
+		if err != nil {
+			log.Fatal(err)
+		}
 		withMem := base
 		withMem.MemoryModel = true
-		predM := prof.Estimate(withMem)
-		real := prof.RealSpeedup(base)
+		predM, err := prof.EstimateCtx(ctx, withMem)
+		if err != nil {
+			log.Fatal(err)
+		}
+		real, err := prof.RealSpeedupCtx(ctx, base)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%5d   %19.2f   %12.2f   %14.2f\n", cores, pred.Speedup, predM.Speedup, real)
 	}
 	fmt.Println("\n(the paper's Fig. 2: without a memory model, Kismet and Suitability")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,8 @@ func pipelineProgram(ctx prophet.Context) {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(pipelineProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, pipelineProgram, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,8 +38,14 @@ func main() {
 	fmt.Println("cores   FF prediction   machine ground truth")
 	for _, cores := range []int{1, 2, 3, 4, 8} {
 		req := prophet.Request{Method: prophet.FastForward, Threads: cores, Sched: prophet.Static}
-		est := prof.Estimate(req)
-		real := prof.RealSpeedup(prophet.Request{Threads: cores, Sched: prophet.Static})
+		est, err := prof.EstimateCtx(ctx, req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		real, err := prof.RealSpeedupCtx(ctx, prophet.Request{Threads: cores, Sched: prophet.Static})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%5d   %13.2f   %20.2f\n", cores, est.Speedup, real)
 	}
 	fmt.Println()

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,7 +70,8 @@ func partition(s []float64) int {
 }
 
 func main() {
-	prof, err := prophet.ProfileProgram(qsortProgram, nil)
+	ctx := context.Background()
+	prof, err := prophet.ProfileProgramCtx(ctx, qsortProgram, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,12 +79,18 @@ func main() {
 	fmt.Println("recursive parallelism, synthesizer predictions:")
 	fmt.Println("cores   Cilk (work stealing)   OpenMP 2.0 (nested teams)")
 	for _, cores := range []int{2, 4, 8, 12} {
-		cilk := prof.Estimate(prophet.Request{
+		cilk, err := prof.EstimateCtx(ctx, prophet.Request{
 			Method: prophet.Synthesizer, Threads: cores, Paradigm: prophet.Cilk,
 		})
-		omp := prof.Estimate(prophet.Request{
+		if err != nil {
+			log.Fatal(err)
+		}
+		omp, err := prof.EstimateCtx(ctx, prophet.Request{
 			Method: prophet.Synthesizer, Threads: cores, Paradigm: prophet.OpenMP, Sched: prophet.Dynamic1,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%5d   %20.2f   %25.2f\n", cores, cilk.Speedup, omp.Speedup)
 	}
 	fmt.Println()

@@ -17,6 +17,8 @@
 package baseline
 
 import (
+	"context"
+
 	"prophet/internal/clock"
 	"prophet/internal/ff"
 	"prophet/internal/omprt"
@@ -172,7 +174,9 @@ func (s *Suitability) atPowerOfTwo(root *tree.Node, threads int) float64 {
 		Ov:        SuitabilityOverheads(),
 		UseBurden: false,
 	}
-	return e.Speedup(root)
+	// A background context never cancels, the emulator's only error.
+	sp, _ := e.SpeedupCtx(context.Background(), root)
+	return sp
 }
 
 // Speedup returns the Suitability estimate: an FF emulation pinned to

@@ -100,7 +100,7 @@ func Fig4() string {
 		ctx.TaskEnd()
 		ctx.SecEnd(true)
 	}
-	p, err := prophet.ProfileProgram(prog, &prophet.Options{
+	p, err := prophet.ProfileProgramCtx(context.Background(), prog, &prophet.Options{
 		CompressTolerance:  -1,
 		DisableMemoryModel: true,
 	})
@@ -122,7 +122,7 @@ func figure5Tree() *tree.Node {
 // FF-predicted makespans and speedups with zero parallel overhead.
 func Fig5() *report.Table {
 	root := figure5Tree()
-	p, _ := prophet.ProfileTree(root, &prophet.Options{DisableMemoryModel: true, CompressTolerance: -1})
+	p, _ := prophet.ProfileTreeCtx(context.Background(), root, &prophet.Options{DisableMemoryModel: true, CompressTolerance: -1})
 	t := report.NewTable("Fig. 5 — FF schedule walkthrough (3 iterations + lock, 2 cores)",
 		"schedule", "emulated cycles", "speedup", "paper")
 	paper := map[string]string{"(static,1)": "1.30", "(static)": "1.20", "(dynamic,1)": "1.58 (incl. overhead ε)"}
@@ -153,14 +153,15 @@ func Fig7(cfg Config) *report.Table {
 
 	mc := cfg.Machine
 	mc.Cores = 2
-	p, _ := prophet.ProfileTree(root, &prophet.Options{
+	ctx := context.Background()
+	p, _ := prophet.ProfileTreeCtx(ctx, root, &prophet.Options{
 		Machine: mc, DisableMemoryModel: true, CompressTolerance: -1,
 	})
 	req := prophet.Request{Threads: 2, Sched: prophet.Static1}
-	ffEst := p.Estimate(prophet.Request{Method: prophet.FastForward, Threads: 2, Sched: prophet.Static1})
-	synEst := p.Estimate(prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1})
-	suitEst := p.Estimate(prophet.Request{Method: prophet.Suitability, Threads: 2})
-	real := p.RealSpeedup(req)
+	ffEst, _ := p.EstimateCtx(ctx, prophet.Request{Method: prophet.FastForward, Threads: 2, Sched: prophet.Static1})
+	synEst, _ := p.EstimateCtx(ctx, prophet.Request{Method: prophet.Synthesizer, Threads: 2, Sched: prophet.Static1})
+	suitEst, _ := p.EstimateCtx(ctx, prophet.Request{Method: prophet.Suitability, Threads: 2})
+	real, _ := p.RealSpeedupCtx(ctx, req)
 
 	t := report.NewTable("Fig. 7 — two-level nested loop, dual core (paper: real 2.0, FF/Suitability 1.5)",
 		"method", "speedup")
@@ -180,7 +181,10 @@ type ffOut struct {
 
 func zeroOverheadFF(root *tree.Node, threads int, sched prophet.Sched) ffOut {
 	e := &ff.Emulator{Threads: threads, Sched: sched}
-	return ffOut{time: e.PredictTime(root), speedup: e.Speedup(root)}
+	// A background context never cancels, the emulator's only error.
+	t, _ := e.PredictTimeCtx(context.Background(), root)
+	sp, _ := e.SpeedupCtx(context.Background(), root)
+	return ffOut{time: t, speedup: sp}
 }
 
 // Fig11Case is one validation panel of Fig. 11.
@@ -220,9 +224,6 @@ var fig11Panels = []struct {
 	{"Test2, 12-core, SYN", true, 12, prophet.Synthesizer},
 	{"Test2, 4-core, Suitability", true, 4, prophet.Suitability},
 }
-
-// Fig11 is the package-level convenience wrapper around Harness.Fig11.
-func Fig11(cfg Config) Fig11Result { return New(cfg).Fig11() }
 
 // Fig11 reproduces the §VII-B validation: random Test1/Test2 samples,
 // FF/synthesizer/Suitability predictions versus real machine runs, per
@@ -343,9 +344,6 @@ func (h *Harness) Fig11() Fig11Result {
 	return Fig11Result{Summary: sum, Cases: cases, Failed: failed, Skipped: skipped}
 }
 
-// Fig12 is the package-level convenience wrapper around Harness.Fig12.
-func Fig12(cfg Config, names []string) []*report.Series { return New(cfg).Fig12(names) }
-
 // Fig12 reproduces the benchmark predictions (Fig. 12; the NPB-FT panel is
 // also the paper's Fig. 2): for each benchmark and core count, Real, Pred
 // (synthesizer without memory model), PredM (with), and Suit.
@@ -376,8 +374,9 @@ func (h *Harness) Fig12(names []string) []*report.Series {
 		}
 	}
 	type cellOut struct {
-		ok                      bool
-		real, pred, predM, suit float64
+		ok    bool
+		real  float64
+		preds [3]float64 // Pred, PredM, Suit
 	}
 	outs := sweep.RunCtx(h.ctx, h.eng, len(grid), func(ctx context.Context, i int) (cellOut, error) {
 		id := grid[i]
@@ -391,17 +390,22 @@ func (h *Harness) Fig12(names []string) []*report.Series {
 		}
 		cores := cfg.Cores[id.c]
 		base := prophet.Request{Threads: cores, Paradigm: w.Paradigm, Sched: w.Sched}
-		real, err := prof.RealSpeedupCtx(ctx, base)
-		if err != nil {
+		out := cellOut{ok: true}
+		if out.real, err = prof.RealSpeedupCtx(ctx, base); err != nil {
 			return cellOut{}, err
 		}
-		return cellOut{
-			ok:    true,
-			real:  real,
-			pred:  prof.Estimate(withMethod(base, prophet.Synthesizer, false)).Speedup,
-			predM: prof.Estimate(withMethod(base, prophet.Synthesizer, true)).Speedup,
-			suit:  prof.Estimate(withMethod(base, prophet.Suitability, false)).Speedup,
-		}, nil
+		for k, r := range []prophet.Request{
+			withMethod(base, prophet.Synthesizer, false),
+			withMethod(base, prophet.Synthesizer, true),
+			withMethod(base, prophet.Suitability, false),
+		} {
+			est, err := prof.EstimateCtx(ctx, r)
+			if err != nil {
+				return cellOut{}, err
+			}
+			out.preds[k] = est.Speedup
+		}
+		return out, nil
 	})
 
 	var out []*report.Series
@@ -413,7 +417,8 @@ func (h *Harness) Fig12(names []string) []*report.Series {
 			if o.Err != nil || !o.Value.ok {
 				continue
 			}
-			s.AddPoint(float64(cores), o.Value.real, o.Value.pred, o.Value.predM, o.Value.suit)
+			p := o.Value.preds
+			s.AddPoint(float64(cores), o.Value.real, p[0], p[1], p[2])
 		}
 		if len(s.X) > 0 {
 			out = append(out, s)
@@ -439,15 +444,13 @@ func Table1() *report.Table {
 	return t
 }
 
-// Table3 is the package-level convenience wrapper around Harness.Table3.
-func Table3(cfg Config, names []string) *report.Table { return New(cfg).Table3(names) }
-
 // Table3 measures the FF-versus-synthesizer trade-off of Table III on the
 // real benchmarks: wall-clock cost per estimate and agreement with the
 // machine ground truth at 8 threads. Benchmarks run as parallel cells
 // (profiles come from the shared cache); the per-estimate wall-clock
 // columns are measurements, so — unlike the speedup columns — they vary
-// run to run.
+// run to run. A benchmark whose ground truth or either estimate fails has
+// no row: its error is the cell's, never a zero speedup read as data.
 func (h *Harness) Table3(names []string) *report.Table {
 	if names == nil {
 		names = []string{"MD-OMP", "NPB-EP", "NPB-CG"}
@@ -469,23 +472,22 @@ func (h *Harness) Table3(names []string) *report.Table {
 			return row{}, nil
 		}
 		base := prophet.Request{Threads: 8, Paradigm: w.Paradigm, Sched: w.Sched, MemoryModel: true}
-		real := prof.RealSpeedup(base)
-
-		start := time.Now()
-		ffS := prof.Estimate(withMethod(base, prophet.FastForward, true)).Speedup
-		ffMS := float64(time.Since(start).Microseconds()) / 1000
-
-		start = time.Now()
-		synS := prof.Estimate(withMethod(base, prophet.Synthesizer, true)).Speedup
-		synMS := float64(time.Since(start).Microseconds()) / 1000
-
-		return row{ok: true, cells: []string{
-			w.Name,
-			fmt.Sprintf("%.2f", ffMS),
-			fmt.Sprintf("%.2f", synMS),
-			fmt.Sprintf("%.1f%%", 100*stats.RelErr(ffS, real)),
-			fmt.Sprintf("%.1f%%", 100*stats.RelErr(synS, real)),
-		}}, nil
+		real, err := prof.RealSpeedupCtx(ctx, base)
+		if err != nil {
+			return row{}, err
+		}
+		cells := []string{w.Name}
+		var errs []string
+		for _, m := range []prophet.Method{prophet.FastForward, prophet.Synthesizer} {
+			start := time.Now()
+			est, err := prof.EstimateCtx(ctx, withMethod(base, m, true))
+			if err != nil {
+				return row{}, err
+			}
+			cells = append(cells, fmt.Sprintf("%.2f", float64(time.Since(start).Microseconds())/1000))
+			errs = append(errs, fmt.Sprintf("%.1f%%", 100*stats.RelErr(est.Speedup, real)))
+		}
+		return row{ok: true, cells: append(cells, errs...)}, nil
 	})
 	t := report.NewTable("Table III — FF vs synthesizer (8 threads)",
 		"benchmark", "FF ms/estimate", "SYN ms/estimate", "FF err", "SYN err")
@@ -496,9 +498,6 @@ func (h *Harness) Table3(names []string) *report.Table {
 	}
 	return t
 }
-
-// OverheadTable is the package-level wrapper around Harness.OverheadTable.
-func OverheadTable(cfg Config, names []string) *report.Table { return New(cfg).OverheadTable(names) }
 
 // OverheadTable reports the §VI-B / §VII-D profiling costs: wall time,
 // tree sizes before/after compression, and the hottest section's burden
@@ -560,7 +559,7 @@ func (h *Harness) OverheadTable(names []string) *report.Table {
 // measurement series.
 func Calibration(cfg Config) (string, []*report.Series) {
 	cfg = cfg.withDefaults()
-	m, data, err := memmodel.Calibrate(cfg.Machine, cfg.Cores)
+	m, data, err := memmodel.CalibrateCtx(context.Background(), cfg.Machine, cfg.Cores)
 	if err != nil {
 		return "calibration failed: " + err.Error(), nil
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -71,7 +72,7 @@ func TestFig11SmallSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation sweep is slow")
 	}
-	res := Fig11(Config{Machine: fastMachine(), Samples: 12, Seed: 7})
+	res := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 12, Seed: 7}).Fig11()
 	get := func(name string) map[string]*stats.Accumulator {
 		for _, c := range res.Cases {
 			if c.Name == name {
@@ -130,7 +131,7 @@ func TestFig12ShapeEPvsFT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	series := Fig12(Config{Machine: fastMachine(), Cores: []int{2, 12}}, []string{"NPB-EP", "NPB-FT"})
+	series := NewCtx(context.Background(), Config{Machine: fastMachine(), Cores: []int{2, 12}}).Fig12([]string{"NPB-EP", "NPB-FT"})
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -182,11 +183,11 @@ func TestTable3AndOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	t3 := Table3(Config{Machine: fastMachine()}, []string{"NPB-EP"})
+	t3 := NewCtx(context.Background(), Config{Machine: fastMachine()}).Table3([]string{"NPB-EP"})
 	if len(t3.Rows) != 1 {
 		t.Fatalf("Table3 rows = %d", len(t3.Rows))
 	}
-	ov := OverheadTable(Config{Machine: fastMachine()}, []string{"NPB-EP", "NPB-FT"})
+	ov := NewCtx(context.Background(), Config{Machine: fastMachine()}).OverheadTable([]string{"NPB-EP", "NPB-FT"})
 	if len(ov.Rows) != 2 {
 		t.Fatalf("overhead rows = %d", len(ov.Rows))
 	}
@@ -213,7 +214,7 @@ func TestScheduleRanking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tb := ScheduleRanking(Config{Machine: fastMachine(), Samples: 25, Seed: 13})
+	tb := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 25, Seed: 13}).ScheduleRanking()
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -234,7 +235,7 @@ func TestMachineMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	h := New(Config{Machine: fastMachine(), Cores: []int{8}})
+	h := NewCtx(context.Background(), Config{Machine: fastMachine(), Cores: []int{8}})
 	tab := h.MachineMatrix([]string{"NPB-CG"}, []string{"westmere12", "embedded4+4", "hbm12"})
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tab.Rows))
@@ -255,5 +256,33 @@ func TestMachineMatrix(t *testing.T) {
 	}
 	if hbm <= west {
 		t.Errorf("hbm12 %.2f should beat westmere12 %.2f on a bandwidth-bound benchmark", hbm, west)
+	}
+}
+
+// TestTable3DropsFailedRows: a benchmark whose 8-thread ground truth
+// exceeds the machine's event budget gets no Table III row — a failed run
+// must not print as speedup 0 and a made-up error percentage. The budget
+// is large enough for calibration and for NPB-EP, too small for NPB-CG.
+func TestTable3DropsFailedRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	mc := fastMachine()
+	mc.MaxEvents = 10_000
+	tab := NewCtx(context.Background(), Config{Machine: mc}).Table3([]string{"NPB-EP", "NPB-CG"})
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "NPB-EP" {
+		t.Fatalf("rows = %v, want only NPB-EP (NPB-CG's ground truth fails)", tab.Rows)
+	}
+}
+
+// TestScheduleRankingDropsFailedSamples: with a budget no ground-truth run
+// fits in, every sample fails and the ranking table has no rows instead of
+// tallying zero speedups.
+func TestScheduleRankingDropsFailedSamples(t *testing.T) {
+	mc := fastMachine()
+	mc.MaxEvents = 1
+	tab := NewCtx(context.Background(), Config{Machine: mc, Samples: 3, Seed: 13}).ScheduleRanking()
+	if len(tab.Rows) != 0 {
+		t.Fatalf("rows = %v, want none: every ground-truth run fails", tab.Rows)
 	}
 }

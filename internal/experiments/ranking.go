@@ -11,10 +11,6 @@ import (
 	"prophet/internal/workloads"
 )
 
-// ScheduleRanking is the package-level wrapper around
-// Harness.ScheduleRanking.
-func ScheduleRanking(cfg Config) *report.Table { return New(cfg).ScheduleRanking() }
-
 // ScheduleRanking measures what a programmer actually uses the tool for
 // (§I: "programmers can interactively use the tool to modify their source
 // code"): given a program, does the predictor pick the *right schedule*
@@ -25,7 +21,8 @@ func ScheduleRanking(cfg Config) *report.Table { return New(cfg).ScheduleRanking
 // schedule; the result counts how often the predicted-best schedule is
 // truly best (within a tie tolerance) and how often the full ranking
 // matches the machine's. Samples run as sweep cells; Test1 profiles come
-// from the harness cache shared with Fig. 11.
+// from the harness cache shared with Fig. 11. A sample whose estimate or
+// ground truth fails is dropped from the tally, not counted as a zero.
 func (h *Harness) ScheduleRanking() *report.Table {
 	cfg := h.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -60,10 +57,16 @@ func (h *Harness) ScheduleRanking() *report.Table {
 		for ci, cores := range coresUnder {
 			var pred, real [3]float64
 			for si, sched := range fig11Scheds {
-				pred[si] = prof.Estimate(prophet.Request{
+				est, err := prof.EstimateCtx(ctx, prophet.Request{
 					Method: prophet.FastForward, Threads: cores, Sched: sched,
-				}).Speedup
-				real[si] = prof.RealSpeedup(prophet.Request{Threads: cores, Sched: sched})
+				})
+				if err != nil {
+					return sampleOut{}, err
+				}
+				pred[si] = est.Speedup
+				if real[si], err = prof.RealSpeedupCtx(ctx, prophet.Request{Threads: cores, Sched: sched}); err != nil {
+					return sampleOut{}, err
+				}
 			}
 			pb, rb := argmax(pred[:]), argmax(real[:])
 			// Best-pick hit: the predicted winner is truly best, or

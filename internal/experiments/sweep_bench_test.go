@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -23,7 +24,7 @@ func BenchmarkSweepScaling(b *testing.B) {
 		cfg := cfg
 		cfg.Workers = workers
 		start := time.Now()
-		res := New(cfg).Fig11()
+		res := NewCtx(context.Background(), cfg).Fig11()
 		if res.Failed != 0 {
 			b.Fatalf("workers=%d: %d failed cells", workers, res.Failed)
 		}

@@ -53,20 +53,20 @@ func profileNoisy(t *testing.T, in *faults.Injector, prog trace.Program) *prophe
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	prof, err := prophet.ProfileTree(root, &prophet.Options{})
+	prof, err := prophet.ProfileTreeCtx(context.Background(), root, &prophet.Options{})
 	if err != nil {
-		t.Fatalf("ProfileTree: %v", err)
+		t.Fatalf("ProfileTreeCtx: %v", err)
 	}
 	return prof
 }
 
 func estimate(t *testing.T, prof *prophet.Profile) float64 {
 	t.Helper()
-	est := prof.Estimate(prophet.Request{
+	est, err := prof.EstimateCtx(context.Background(), prophet.Request{
 		Method: prophet.FastForward, Threads: 8, MemoryModel: true,
 	})
-	if est.Err != nil {
-		t.Fatalf("Estimate: %v", est.Err)
+	if err != nil {
+		t.Fatalf("EstimateCtx: %v", err)
 	}
 	if est.Speedup <= 0 {
 		t.Fatalf("Speedup = %v, want > 0", est.Speedup)
@@ -136,7 +136,7 @@ func TestDroppedAndDuplicatedEventsFailTyped(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		in := faults.New(cfg)
-		prof, err := prophet.ProfileProgram(in.Program(prog), &prophet.Options{
+		prof, err := prophet.ProfileProgramCtx(context.Background(), in.Program(prog), &prophet.Options{
 			DisableMemoryModel: true,
 		})
 		switch {

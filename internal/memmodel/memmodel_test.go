@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"prophet/internal/counters"
 	"prophet/internal/mem"
 	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/tree"
 )
 
@@ -132,9 +134,9 @@ func simCfg() sim.Config {
 }
 
 func TestCalibrationShapes(t *testing.T) {
-	m, data, err := Calibrate(simCfg(), []int{2, 4, 6, 8, 10, 12})
+	m, data, err := CalibrateCtx(context.Background(), simCfg(), []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
-		t.Fatalf("Calibrate: %v", err)
+		t.Fatalf("CalibrateCtx: %v", err)
 	}
 	if len(data.Points) == 0 {
 		t.Fatal("no calibration points")
@@ -172,7 +174,7 @@ func TestCalibrationShapes(t *testing.T) {
 // compared against the burden-factor prediction.
 func TestCalibrationPredictsSaturatedSPMD(t *testing.T) {
 	mc := simCfg()
-	m, _, err := Calibrate(mc, []int{2, 4, 6, 8, 10, 12})
+	m, _, err := CalibrateCtx(context.Background(), mc, []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestCalibrationPredictsSaturatedSPMD(t *testing.T) {
 		sample := counters.Sample{Instructions: n, Cycles: serial, LLCMisses: d}
 		for _, th := range threads {
 			// Real: th symmetric threads on the machine.
-			end, _ := sim.Run(mc, func(main *sim.Thread) {
+			end, _ := simtest.Run(t, mc, func(main *sim.Thread) {
 				var ws []*sim.Thread
 				body := func(w *sim.Thread) {
 					w.WorkMem(clock.Cycles(n), d)

@@ -33,15 +33,6 @@ type RunOpts struct {
 	// Ctx cancels the run: the engine polls it and fails with an error
 	// wrapping ctx.Err(). Nil means context.Background().
 	Ctx context.Context
-	// Recorder captures executed work slices for timeline rendering.
-	//
-	// Deprecated: Recorder only sees work slices and cannot report
-	// errors to render-time consumers. New code should attach a Tracer
-	// (e.g. an *obs.TraceBuffer), which receives the full event stream —
-	// schedule, preempt, block/unblock, lock and slice events — and
-	// exports Chrome trace JSON. Recorder remains supported for the
-	// text-Gantt path.
-	Recorder *Recorder
 	// Tracer receives execution events (schedule/preempt/block/unblock/
 	// lock/slice) with virtual timestamps; nil disables tracing at the
 	// cost of one branch per site (see internal/obs).
@@ -65,7 +56,6 @@ func RunOpt(cfg Config, o RunOpts, main func(*Thread)) (clock.Cycles, Stats, err
 	if o.Ctx != nil {
 		m.ctx = o.Ctx
 	}
-	m.recorder = o.Recorder
 	m.tracer = o.Tracer
 	m.metrics = o.Metrics
 	if o.Faults != nil {
@@ -101,16 +91,10 @@ func getMachine(cfg Config) *Machine {
 // pool. Safe because run() waits for every thread goroutine to unwind.
 func releaseMachine(m *Machine) {
 	m.ctx = context.Background()
-	m.recorder = nil
 	m.tracer = nil
 	m.metrics = nil
 	m.faults = nil
 	m.err = nil
 	m.dram.SetBandwidthHook(nil)
 	machinePool.Put(m)
-}
-
-// RunCtx is RunOpt with only a cancellation context.
-func RunCtx(ctx context.Context, cfg Config, main func(*Thread)) (clock.Cycles, Stats, error) {
-	return RunOpt(cfg, RunOpts{Ctx: ctx}, main)
 }

@@ -17,8 +17,19 @@ func cfg(cores int) Config {
 	return Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
 }
 
+// run executes main as thread 0 of a machine with configuration c and
+// fails the test on any simulation error.
+func run(t testing.TB, c Config, main func(*Thread)) (clock.Cycles, Stats) {
+	t.Helper()
+	end, st, err := RunOpt(c, RunOpts{}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, st
+}
+
 func TestSingleThreadWork(t *testing.T) {
-	end, st := Run(cfg(1), func(th *Thread) {
+	end, st := run(t, cfg(1), func(th *Thread) {
 		th.Work(123_456)
 	})
 	if end != 123_456 {
@@ -30,7 +41,7 @@ func TestSingleThreadWork(t *testing.T) {
 }
 
 func TestWorkZeroIsNoop(t *testing.T) {
-	end, _ := Run(cfg(1), func(th *Thread) {
+	end, _ := run(t, cfg(1), func(th *Thread) {
 		th.Work(0)
 		th.Work(-5)
 		th.WorkMem(0, 0)
@@ -41,7 +52,7 @@ func TestWorkZeroIsNoop(t *testing.T) {
 }
 
 func TestTwoThreadsTwoCoresParallel(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := run(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(80_000) })
 		th.Work(50_000)
 		th.Join(w)
@@ -52,7 +63,7 @@ func TestTwoThreadsTwoCoresParallel(t *testing.T) {
 }
 
 func TestOversubscriptionSerializes(t *testing.T) {
-	end, st := Run(cfg(1), func(th *Thread) {
+	end, st := run(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(60_000) })
 		th.Work(60_000)
 		th.Join(w)
@@ -70,7 +81,7 @@ func TestPreemptionInterleavesFairly(t *testing.T) {
 	// finish must finish near 190k (fair slicing), not at 100k (FIFO
 	// run-to-completion).
 	var firstDone clock.Cycles
-	Run(cfg(1), func(th *Thread) {
+	run(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Work(100_000)
 			if firstDone == 0 {
@@ -89,7 +100,7 @@ func TestPreemptionInterleavesFairly(t *testing.T) {
 }
 
 func TestNowAdvancesAcrossWork(t *testing.T) {
-	Run(cfg(1), func(th *Thread) {
+	run(t, cfg(1), func(th *Thread) {
 		if th.Now() != 0 {
 			t.Errorf("initial Now = %d", th.Now())
 		}
@@ -104,7 +115,7 @@ func TestLockMutualExclusionAndFIFO(t *testing.T) {
 	// Three threads on three cores contend for one lock; critical
 	// sections must serialize, and waiters acquire in arrival order.
 	var order []int
-	end, _ := Run(cfg(3), func(th *Thread) {
+	end, _ := run(t, cfg(3), func(th *Thread) {
 		mk := func(id int, arrive clock.Cycles) func(*Thread) {
 			return func(w *Thread) {
 				w.Work(arrive)
@@ -131,7 +142,7 @@ func TestLockMutualExclusionAndFIFO(t *testing.T) {
 }
 
 func TestUnlockNotOwnerReturnsTypedError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := RunOpt(cfg(1), RunOpts{}, func(th *Thread) {
 		th.Unlock(7)
 	})
 	if !errors.Is(err, ErrLockMisuse) {
@@ -150,7 +161,7 @@ func TestUnlockNotOwnerReturnsTypedError(t *testing.T) {
 }
 
 func TestDoubleUnlockReturnsTypedError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := RunOpt(cfg(1), RunOpts{}, func(th *Thread) {
 		th.Lock(3)
 		th.Unlock(3)
 		th.Unlock(3) // double unlock: typed error, not a crash
@@ -160,21 +171,8 @@ func TestDoubleUnlockReturnsTypedError(t *testing.T) {
 	}
 }
 
-// RunLegacyPanicsOnError: the convenience Run keeps its panic contract for
-// runtime-layer tests; library paths use RunCtx/RunOpt.
-func TestRunLegacyPanicsOnError(t *testing.T) {
-	defer func() {
-		r := recover()
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrLockMisuse) {
-			t.Fatalf("expected panic with ErrLockMisuse, got %v", r)
-		}
-	}()
-	Run(cfg(1), func(th *Thread) { th.Unlock(7) })
-}
-
 func TestJoinAlreadyExited(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := run(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10) })
 		th.Work(50_000) // ensure w is long gone
 		th.Join(w)      // must not block forever
@@ -186,7 +184,7 @@ func TestJoinAlreadyExited(t *testing.T) {
 
 func TestParkUnparkToken(t *testing.T) {
 	// Unpark before Park banks a token; Park then returns immediately.
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := run(t, cfg(2), func(th *Thread) {
 		var w *Thread
 		w = th.Spawn(func(w2 *Thread) {
 			w2.Work(10_000)
@@ -201,7 +199,7 @@ func TestParkUnparkToken(t *testing.T) {
 }
 
 func TestParkBlocksUntilUnpark(t *testing.T) {
-	end, _ := Run(cfg(2), func(th *Thread) {
+	end, _ := run(t, cfg(2), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Park()
 			w.Work(1_000)
@@ -222,7 +220,7 @@ func TestDeadlockReturnsTypedError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err := RunCtx(ctx, cfg(2), func(th *Thread) {
+	_, _, err := RunOpt(cfg(2), RunOpts{Ctx: ctx}, func(th *Thread) {
 		a := th.Spawn(func(w *Thread) {
 			w.Lock(1)
 			w.Work(10_000)
@@ -263,7 +261,7 @@ func TestDeadlockReturnsTypedError(t *testing.T) {
 }
 
 func TestParkedForeverIsDeadlock(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(1), func(th *Thread) {
+	_, _, err := RunOpt(cfg(1), RunOpts{}, func(th *Thread) {
 		th.Park() // nobody will unpark
 	})
 	if !errors.Is(err, ErrDeadlock) {
@@ -278,7 +276,7 @@ func TestParkedForeverIsDeadlock(t *testing.T) {
 func TestMaxEventsBudgetExceeded(t *testing.T) {
 	c := cfg(1)
 	c.MaxEvents = 1_000
-	_, _, err := RunCtx(context.Background(), c, func(th *Thread) {
+	_, _, err := RunOpt(c, RunOpts{}, func(th *Thread) {
 		for { // runaway loop: never exits on its own
 			th.Work(1)
 		}
@@ -295,7 +293,7 @@ func TestMaxEventsBudgetExceeded(t *testing.T) {
 func TestMaxVirtualTimeBudgetExceeded(t *testing.T) {
 	c := cfg(1)
 	c.MaxVirtualTime = 50_000
-	_, _, err := RunCtx(context.Background(), c, func(th *Thread) {
+	_, _, err := RunOpt(c, RunOpts{}, func(th *Thread) {
 		for {
 			th.Work(30_000)
 		}
@@ -308,7 +306,7 @@ func TestMaxVirtualTimeBudgetExceeded(t *testing.T) {
 func TestContextCancellationStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the engine must notice at its next poll
-	_, _, err := RunCtx(ctx, cfg(2), func(th *Thread) {
+	_, _, err := RunOpt(cfg(2), RunOpts{Ctx: ctx}, func(th *Thread) {
 		for {
 			th.Work(1)
 		}
@@ -319,7 +317,7 @@ func TestContextCancellationStopsRun(t *testing.T) {
 }
 
 func TestThreadPanicBecomesInternalError(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), cfg(2), func(th *Thread) {
+	_, _, err := RunOpt(cfg(2), RunOpts{}, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) {
 			w.Work(100)
 			panic("workload bug")
@@ -341,7 +339,7 @@ func TestErrorRunLeaksNoGoroutines(t *testing.T) {
 	// rather than goroutine counts (the WaitGroup in run() guarantees the
 	// drain — this exercises it under spawn-heavy workloads).
 	for i := 0; i < 50; i++ {
-		_, _, err := RunCtx(context.Background(), cfg(2), func(th *Thread) {
+		_, _, err := RunOpt(cfg(2), RunOpts{}, func(th *Thread) {
 			var ws []*Thread
 			for j := 0; j < 8; j++ {
 				ws = append(ws, th.Spawn(func(w *Thread) {
@@ -389,7 +387,7 @@ func TestYield(t *testing.T) {
 	// A yielding thread lets the other make progress without waiting for
 	// quantum expiry.
 	var woke bool
-	Run(cfg(1), func(th *Thread) {
+	run(t, cfg(1), func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { woke = true; w.Work(10) })
 		th.Yield() // w runs first now
 		if !woke {
@@ -402,7 +400,7 @@ func TestYield(t *testing.T) {
 func TestWorkMemUnloadedLatency(t *testing.T) {
 	c := cfg(1)
 	// 1000 instruction-cycles + 10 misses at ω0=40 => 1400 cycles.
-	end, st := Run(c, func(th *Thread) {
+	end, st := run(t, c, func(th *Thread) {
 		th.WorkMem(1000, 10)
 	})
 	if end != 1400 {
@@ -418,7 +416,7 @@ func TestDRAMContentionStretchesMemoryTime(t *testing.T) {
 	// With B = 8 B/cyc, 2 threads fit (stretch 1) but 8 threads demand
 	// 12.8 B/cyc and must stretch by ~1.6x.
 	run := func(k int) clock.Cycles {
-		end, _ := Run(cfg(12), func(th *Thread) {
+		end, _ := run(t, cfg(12), func(th *Thread) {
 			var ws []*Thread
 			for i := 0; i < k; i++ {
 				ws = append(ws, th.Spawn(func(w *Thread) {
@@ -463,8 +461,8 @@ func TestDeterminism(t *testing.T) {
 			th.Join(w)
 		}
 	}
-	e1, s1 := Run(cfg(3), prog)
-	e2, s2 := Run(cfg(3), prog)
+	e1, s1 := run(t, cfg(3), prog)
+	e2, s2 := run(t, cfg(3), prog)
 	if e1 != e2 || s1 != s2 {
 		t.Fatalf("nondeterministic run: %d/%+v vs %d/%+v", e1, s1, e2, s2)
 	}
@@ -472,7 +470,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestContextSwitchCost(t *testing.T) {
 	c := Config{Cores: 1, Quantum: 10_000, ContextSwitch: 500}
-	end, _ := Run(c, func(th *Thread) {
+	end, _ := run(t, c, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10_000) })
 		th.Work(10_000)
 		th.Join(w)
@@ -502,7 +500,7 @@ func TestManyThreadsManyCores(t *testing.T) {
 	// busy cycles are conserved (total work == sum of Work requests).
 	const n = 64
 	var total clock.Cycles
-	end, st := Run(cfg(12), func(th *Thread) {
+	end, st := run(t, cfg(12), func(th *Thread) {
 		var ws []*Thread
 		for i := 0; i < n; i++ {
 			w := clock.Cycles(1_000 * (i%9 + 1))

@@ -4,7 +4,7 @@
 // The evaluation harness (internal/experiments) is an embarrassingly
 // parallel grid: every (workload, seed, cores, schedule) cell is one
 // deterministic profile→emulate pipeline with no shared mutable state.
-// Run shards such a grid over a GOMAXPROCS-sized pool and returns the
+// RunCtx shards such a grid over a GOMAXPROCS-sized pool and returns the
 // results indexed by cell, so callers merge them in deterministic cell
 // order and produce output that is byte-identical to a serial run
 // regardless of worker count.
@@ -26,7 +26,7 @@ import (
 	"prophet/internal/obs"
 )
 
-// Engine bounds the worker pool used by Run.
+// Engine bounds the worker pool used by RunCtx.
 type Engine struct {
 	// Workers is the maximum number of concurrent cells. Zero (or
 	// negative) selects GOMAXPROCS; 1 runs the sweep serially on the
@@ -68,7 +68,7 @@ func (p *PanicError) Error() string {
 // field names (index/value/err/skipped), Err as its string message, so
 // sweep results share one vocabulary with traces and metrics snapshots.
 type Outcome[T any] struct {
-	// Index is the cell index (Outcome i of Run is always cell i; the
+	// Index is the cell index (Outcome i of RunCtx is always cell i; the
 	// field exists so outcomes can be filtered and still traced back).
 	Index int `json:"index"`
 	// Value is the cell's result (zero if Err != nil).
@@ -113,24 +113,18 @@ func (o *Outcome[T]) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Run evaluates cells 0..n-1 with fn on e's worker pool and returns one
-// Outcome per cell, indexed by cell. Cells are claimed dynamically (an
+// RunCtx evaluates cells 0..n-1 with fn on e's worker pool and returns
+// one Outcome per cell, indexed by cell. Cells are claimed dynamically (an
 // atomic cursor, so imbalanced cells load-balance), but the returned
 // slice is ordered by cell index: merging outcomes front to back yields
 // the same result order as a serial loop, whatever the worker count.
-func Run[T any](e Engine, n int, fn func(i int) (T, error)) []Outcome[T] {
-	return RunCtx(context.Background(), e, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// RunCtx is Run with cancellation: once ctx fires, no new cell starts —
-// in-flight cells drain (fn observes the cancellation through its ctx
-// argument and may return early), and every cell not yet claimed comes
-// back with Skipped set and an Err wrapping the cancellation. Partial
-// results already computed are kept, so a canceled sweep still merges
-// deterministically: every cell is either a real outcome or marked
-// skipped, never silently missing.
+//
+// Once ctx fires, no new cell starts — in-flight cells drain (fn
+// observes the cancellation through its ctx argument and may return
+// early), and every cell not yet claimed comes back with Skipped set and
+// an Err wrapping the cancellation. Partial results already computed are
+// kept, so a canceled sweep still merges deterministically: every cell is
+// either a real outcome or marked skipped, never silently missing.
 //
 // With e.FailFast, the first cell error cancels the rest of the sweep the
 // same way.

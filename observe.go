@@ -12,12 +12,8 @@ import (
 // per-stage wall times, DES event counts, cache traffic, sweep outcomes —
 // into a registry (Metrics). Both sinks are optional and cost nothing
 // when unset: the instrumented code paths are benchmarked at zero
-// allocations per operation with observability disabled.
-//
-// Observer replaces the earlier write-only Recorder plumbing
-// (sim.Recorder threaded through realrun), which captured work slices
-// only and offered no machine-readable export. The Recorder remains as
-// the backend of the text Gantt rendering (Profile.Timeline).
+// allocations per operation with observability disabled. The text Gantt
+// of Profile.TimelineCtx is rendered from the same event stream.
 
 // ExecTracer receives execution events from the simulated machine and
 // the emulators. A *TraceBuffer is the standard implementation; custom

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -16,7 +17,7 @@ import (
 func TestObserverEndToEnd(t *testing.T) {
 	buf := &TraceBuffer{}
 	reg := &Metrics{}
-	p, err := ProfileProgram(balancedProgram(16, 50_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(16, 50_000), &Options{
 		Machine:            testMachine(4),
 		DisableMemoryModel: true,
 		Observer:           Observer{Trace: buf, Metrics: reg},
@@ -28,8 +29,8 @@ func TestObserverEndToEnd(t *testing.T) {
 	for _, m := range []Method{FastForward, Synthesizer} {
 		r := req
 		r.Method = m
-		if est := p.Estimate(r); est.Err != nil {
-			t.Fatalf("%v: %v", m, est.Err)
+		if _, err := p.EstimateCtx(context.Background(), r); err != nil {
+			t.Fatalf("%v: %v", m, err)
 		}
 	}
 	if _, err := p.RealSpeedupCtx(context.Background(), req); err != nil {
@@ -86,7 +87,7 @@ func TestObserverEndToEnd(t *testing.T) {
 // memory model off, a known section explains as a gated β = 1, and an
 // unknown section reports not-found.
 func TestExplainBurdenDisabledGate(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            testMachine(2),
 		DisableMemoryModel: true,
 	})
@@ -129,7 +130,7 @@ func (c *countdownCtx) Err() error {
 // points evaluated before the cancellation are returned alongside the
 // error, and the point that observed the cancellation carries it in Err.
 func TestCurveCtxPartialOnCancel(t *testing.T) {
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            testMachine(4),
 		DisableMemoryModel: true,
 	})
@@ -165,25 +166,73 @@ func TestCurveCtxPartialOnCancel(t *testing.T) {
 	}
 }
 
-// TestTimelineCtxReturnsError pins the fixed contract: the legacy Timeline
-// swallowed ground-truth failures, TimelineCtx returns them.
+// TestTimelineCtxReturnsError pins the contract: TimelineCtx returns a
+// ground-truth failure along with the partial timeline recorded up to it.
 func TestTimelineCtxReturnsError(t *testing.T) {
 	mc := testMachine(2)
 	mc.MaxEvents = 10 // far below what any real run needs
-	p, err := ProfileProgram(balancedProgram(8, 10_000), &Options{
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            mc,
 		DisableMemoryModel: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = p.TimelineCtx(context.Background(), Request{Threads: 2, Sched: Static}, 40)
+	gantt, _, err := p.TimelineCtx(context.Background(), Request{Threads: 2, Sched: Static}, 40)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("TimelineCtx err = %v, want ErrBudgetExceeded", err)
 	}
-	// The documented wrapper still swallows it.
-	gantt, _ := p.Timeline(Request{Threads: 2, Sched: Static}, 40)
 	if gantt == "" {
-		t.Error("Timeline returned empty output (should render the partial recording)")
+		t.Error("TimelineCtx returned empty output (should render the partial recording)")
+	}
+}
+
+// TestTimelineCtxBytes pins TimelineCtx's exact output for a small fixed
+// program: the Gantt text and each core's utilization, bit for bit. The
+// expected values were captured from the earlier slice-recorder renderer,
+// so this guards the trace-buffer rendering against any drift.
+func TestTimelineCtxBytes(t *testing.T) {
+	prog := func(ctx Context) {
+		ctx.Compute(30_000, 0)
+		ctx.SecBegin("loop")
+		for i := 0; i < 5; i++ {
+			ctx.TaskBegin("it")
+			ctx.Compute(int64(10_000*(i+1)), 0)
+			ctx.TaskEnd()
+		}
+		ctx.SecEnd(false)
+		ctx.Compute(20_000, 0)
+	}
+	var user TraceBuffer
+	for _, o := range []Observer{{}, {Trace: &user}} {
+		p, err := ProfileProgramCtx(context.Background(), prog, &Options{
+			Machine: testMachine(2), DisableMemoryModel: true, Observer: o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gantt, util, err := p.TimelineCtx(context.Background(), Request{Threads: 2, Sched: Static}, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantGantt = "timeline: 144320 cycles, 2 cores, '.'=idle\n" +
+			"core  0 |0000000000000000000000000000000.........00000000|\n" +
+			"core  1 |..........1111111111111111111111111111111.......|\n"
+		if gantt != wantGantt {
+			t.Errorf("gantt (observer %v) =\n%q\nwant\n%q", o.Trace != nil, gantt, wantGantt)
+		}
+		wantUtil := map[int]uint64{0: 0x3fe9591e1591e15b, 1: 0x3fe406cfc06cfc07}
+		if len(util) != len(wantUtil) {
+			t.Fatalf("utilization = %v, want cores 0 and 1", util)
+		}
+		for core, bits := range wantUtil {
+			if got := math.Float64bits(util[core]); got != bits {
+				t.Errorf("core %d utilization %v (bits %#x), want bits %#x", core, util[core], got, bits)
+			}
+		}
+	}
+	// The user's tracer saw the same run the timeline was rendered from.
+	if user.Len() == 0 {
+		t.Error("Observer.Trace saw no events from TimelineCtx")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/machine"
+	"prophet/internal/obs"
 	"prophet/internal/surrogate"
 	"prophet/internal/sweep"
 )
@@ -94,31 +95,56 @@ func surrogateEstimate(req Request, speedup float64, serial clock.Cycles) Estima
 	return est
 }
 
-// SeedSurrogate pre-seeds the surrogate's training store from a request
-// grid by emulating every cell on a bounded worker pool — typically the
-// grid of a completed sweep, so interactive traffic starts against a
-// warm store. Cells the surrogate already answers confidently are
-// served from it (and not re-observed); everything else emulates and
-// feeds back. See SeedSurrogateCtx for cancellation.
-func (p *Profile) SeedSurrogate(reqs []Request, workers int) error {
-	return p.SeedSurrogateCtx(context.Background(), reqs, workers)
-}
-
-// SeedSurrogateCtx is SeedSurrogate with cancellation: once ctx fires no
-// new cell starts. The first cell error (or the cancellation) is
-// returned; cells already seeded stay in the store.
+// SeedSurrogateCtx pre-seeds the surrogate's training store from a
+// request grid by emulating every cell on a bounded worker pool —
+// typically the grid of a completed sweep, so interactive traffic starts
+// against a warm store. The results then feed the surrogate in cell
+// order, exactly as a serial run of EstimateCtx over reqs would: cells
+// the surrogate already answers confidently by then are not re-observed,
+// everything else is. The trained model therefore does not depend on the
+// worker count or on which cell finished first. Once ctx fires no new
+// cell starts. The first cell error (or the cancellation) is returned;
+// cells before it in the grid stay in the store.
 func (p *Profile) SeedSurrogateCtx(ctx context.Context, reqs []Request, workers int) error {
-	if p.opts.Surrogate == nil {
-		return errors.New("prophet: SeedSurrogate needs Options.Surrogate armed")
+	sg := p.opts.Surrogate
+	if sg == nil {
+		return errors.New("prophet: SeedSurrogateCtx needs Options.Surrogate armed")
 	}
-	outs := sweep.RunCtx(ctx, sweep.Engine{Workers: workers, Metrics: p.opts.Observer.Metrics},
-		len(reqs), func(ctx context.Context, i int) (Estimate, error) {
-			return p.EstimateCtx(ctx, reqs[i])
+	type cell struct {
+		prof    *Profile // the profile owning the cell's machine
+		req     Request  // as that profile sees it
+		speedup float64
+	}
+	met := p.opts.Observer.Metrics
+	outs := sweep.RunCtx(ctx, sweep.Engine{Workers: workers, Metrics: met},
+		len(reqs), func(ctx context.Context, i int) (c cell, err error) {
+			defer recoverToError(&err)
+			c.req = reqs[i]
+			if c.prof, err = p.forMachine(ctx, c.req.Machine); err != nil {
+				return c, err
+			}
+			if c.prof != p {
+				c.req.Machine = ""
+			}
+			c.req.Threads = c.prof.threadsOf(c.req)
+			tm := met.StartTimer(obs.MStageEmulate)
+			defer tm.Stop()
+			c.speedup, err = c.prof.emulate(ctx, c.req)
+			return c, err
 		})
 	for _, o := range outs {
 		if o.Err != nil {
 			return o.Err
 		}
+		c := o.Value
+		key, vec := c.prof.surrogateQuery(c.req)
+		if val, ok, shadow := sg.Predict(key, vec); ok {
+			if !shadow {
+				continue
+			}
+			sg.RecordShadow(val, c.speedup)
+		}
+		sg.Observe(key, vec, c.speedup)
 	}
 	return nil
 }

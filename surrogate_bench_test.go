@@ -1,6 +1,7 @@
 package prophet_test
 
 import (
+	"context"
 	"testing"
 
 	"prophet"
@@ -16,12 +17,12 @@ func surrogateBenchProfile(tb testing.TB, surr *prophet.Surrogate) *prophet.Prof
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := prophet.ProfileProgram(w.Program, &prophet.Options{
+	p, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{
 		DisableMemoryModel: true,
 		Surrogate:          surr,
 	})
 	if err != nil {
-		tb.Fatalf("ProfileProgram: %v", err)
+		tb.Fatalf("ProfileProgramCtx: %v", err)
 	}
 	return p
 }
@@ -48,19 +49,20 @@ func BenchmarkSurrogateEval(b *testing.B) {
 	p := surrogateBenchProfile(b, surr)
 	grid := surrogateGrid([]prophet.Method{prophet.FastForward},
 		[]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	if err := p.SeedSurrogate(grid, 4); err != nil {
-		b.Fatalf("SeedSurrogate: %v", err)
+	if err := p.SeedSurrogateCtx(context.Background(), grid, 4); err != nil {
+		b.Fatalf("SeedSurrogateCtx: %v", err)
 	}
+	ctx := context.Background()
 	req := prophet.Request{Method: prophet.FastForward, Threads: 8}
-	if est := p.Estimate(req); est.Source != prophet.SourceSurrogate {
-		b.Fatalf("warm cell not served by surrogate (source %q)", est.Source)
+	if est, err := p.EstimateCtx(ctx, req); err != nil || est.Source != prophet.SourceSurrogate {
+		b.Fatalf("warm cell not served by surrogate (source %q, err %v)", est.Source, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			b.Fatal(est.Err)
+		est, err := p.EstimateCtx(ctx, req)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if est.Source != prophet.SourceSurrogate {
 			b.Fatalf("iteration fell back to emulation (source %q)", est.Source)
@@ -78,9 +80,9 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	// emulator is deterministic, so these are the exact answers.
 	plain := surrogateBenchProfile(t, nil)
 	golden := func(req prophet.Request) float64 {
-		est := plain.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("golden estimate %+v: %v", req, est.Err)
+		est, err := plain.EstimateCtx(context.Background(), req)
+		if err != nil {
+			t.Fatalf("golden estimate %+v: %v", req, err)
 		}
 		return est.Speedup
 	}
@@ -91,16 +93,16 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	p := surrogateBenchProfile(t, surr)
 	methods := []prophet.Method{prophet.FastForward, prophet.AmdahlLaw}
 	train := surrogateGrid(methods, []int{2, 4, 6, 8, 10, 12})
-	if err := p.SeedSurrogate(train, 4); err != nil {
-		t.Fatalf("SeedSurrogate: %v", err)
+	if err := p.SeedSurrogateCtx(context.Background(), train, 4); err != nil {
+		t.Fatalf("SeedSurrogateCtx: %v", err)
 	}
 
 	// Trained cells: must come back from the surrogate, byte-for-byte
 	// the emulated speedup (the store memoizes exact matches).
 	for _, req := range train {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("estimate %+v: %v", req, est.Err)
+		est, err := p.EstimateCtx(context.Background(), req)
+		if err != nil {
+			t.Fatalf("estimate %+v: %v", req, err)
 		}
 		if est.Source != prophet.SourceSurrogate {
 			t.Errorf("trained cell %+v not served by surrogate (source %q)", req, est.Source)
@@ -117,9 +119,9 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 	var served int
 	var sumRel, worstRel float64
 	for _, req := range surrogateGrid(methods, []int{3, 5, 7, 9, 11}) {
-		est := p.Estimate(req)
-		if est.Err != nil {
-			t.Fatalf("estimate %+v: %v", req, est.Err)
+		est, err := p.EstimateCtx(context.Background(), req)
+		if err != nil {
+			t.Fatalf("estimate %+v: %v", req, err)
 		}
 		if est.Source != prophet.SourceSurrogate {
 			continue
@@ -144,6 +146,44 @@ func TestSurrogateShadowAccuracy(t *testing.T) {
 		}
 		if worstRel > 0.20 {
 			t.Errorf("held-out worst rel error %.4f is far outside the confidence bound", worstRel)
+		}
+	}
+}
+
+// TestSeedSurrogateDeterministic: seeding trains the same model whatever
+// the worker count, so every later answer — served or emulated — is
+// identical to the serial seeding's.
+func TestSeedSurrogateDeterministic(t *testing.T) {
+	ctx := context.Background()
+	methods := []prophet.Method{prophet.FastForward, prophet.AmdahlLaw}
+	answers := func(workers int) []prophet.Estimate {
+		surr := prophet.NewSurrogate(prophet.SurrogateConfig{
+			MinSamples: 8, RefitEvery: 4, ShadowEvery: -1, MaxRelErr: 0.05, Seed: 1,
+		})
+		p := surrogateBenchProfile(t, surr)
+		if err := p.SeedSurrogateCtx(ctx, surrogateGrid(methods, []int{2, 4, 6, 8, 10, 12}), workers); err != nil {
+			t.Fatalf("SeedSurrogateCtx: %v", err)
+		}
+		var out []prophet.Estimate
+		for _, req := range surrogateGrid(methods, []int{3, 5, 7, 9, 11}) {
+			est, err := p.EstimateCtx(ctx, req)
+			if err != nil {
+				t.Fatalf("estimate %+v: %v", req, err)
+			}
+			out = append(out, est)
+		}
+		return out
+	}
+	serial := answers(1)
+	for round := 0; round < 4; round++ {
+		for _, workers := range []int{2, 4, 8} {
+			got := answers(workers)
+			for i := range serial {
+				if got[i] != serial[i] {
+					t.Fatalf("workers=%d round %d: answer %d = %+v, serial seeding gives %+v",
+						workers, round, i, got[i], serial[i])
+				}
+			}
 		}
 	}
 }
