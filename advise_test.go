@@ -11,11 +11,12 @@ import (
 	"time"
 
 	"prophet/internal/memmodel"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/tree"
 )
 
 func TestAdviseBalancedLoop(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestAdviseMemoryBound(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAdviseSerialProgram(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestAdviseCilkWinsOnRecursion(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(8), CompressTolerance: -1})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(8), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestAdviseCilkWinsOnRecursion(t *testing.T) {
 // largest) entry and corrupt the saturation walk. Threads are now
 // normalized like ParseCores, so any ordering yields the same Advice.
 func TestAdviseUnsortedThreads(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestAdviseUnsortedThreads(t *testing.T) {
 // unranked, the first error must surface on Advice, and the report must
 // say so instead of "best: 0.00x with ff on 0 threads".
 func TestAdviseAllErrors(t *testing.T) {
-	machine := testMachine(12)
+	machine := simtest.Machine(12)
 	machine.MaxEvents = 1
 	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 50_000), &Options{
 		Machine:            machine,
@@ -211,7 +212,7 @@ func TestAdviseAllErrors(t *testing.T) {
 // results come back with the cancellation error — and that no worker
 // goroutines leak past the return.
 func TestAdviseCtxCancel(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestAdviseRegionVariants(t *testing.T) {
 		&tree.Node{Kind: tree.U, Len: 100, Repeat: 7, Mem: tree.MemTraits{Instructions: 40, LLCMisses: 2}},
 		tree.NewU(10),
 	)
-	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: testMachine(12), DisableMemoryModel: true})
+	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: simtest.Machine(12), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestAdviseAntiRecommendation(t *testing.T) {
 
 	// An empty model keeps burden lookups live (Model != nil) without
 	// calibrating: sections without counters keep their hand-set maps.
-	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: testMachine(12), MemModel: &memmodel.Model{}})
+	p, err := ProfileTreeCtx(context.Background(), root, &Options{Machine: simtest.Machine(12), MemModel: &memmodel.Model{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"prophet/internal/compress"
 	"prophet/internal/experiments"
 	"prophet/internal/ff"
-	"prophet/internal/machine"
 	"prophet/internal/memmodel"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
@@ -29,10 +28,6 @@ import (
 	"prophet/internal/tree"
 	"prophet/internal/workloads"
 )
-
-func benchMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
-}
 
 // BenchmarkFig4Tree profiles the paper's §IV-A running example into its
 // program tree (Fig. 4).
@@ -56,7 +51,7 @@ func BenchmarkFig5FF(b *testing.B) {
 // BenchmarkFig7 regenerates the nested-loop limitation comparison
 // (FF vs Suitability vs synthesizer vs real).
 func BenchmarkFig7(b *testing.B) {
-	cfg := experiments.Config{Machine: benchMachine()}
+	cfg := experiments.Config{Machine: simtest.Machine(12)}
 	for i := 0; i < b.N; i++ {
 		if t := experiments.Fig7(cfg); len(t.Rows) != 4 {
 			b.Fatal("bad table")
@@ -69,7 +64,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig11Validation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.NewCtx(context.Background(), experiments.Config{
-			Machine: benchMachine(), Samples: 2, Seed: int64(i + 1),
+			Machine: simtest.Machine(12), Samples: 2, Seed: int64(i + 1),
 		}).Fig11()
 		if len(res.Cases) != 6 {
 			b.Fatal("bad result")
@@ -80,7 +75,7 @@ func BenchmarkFig11Validation(b *testing.B) {
 // BenchmarkFig12Benchmarks regenerates two Fig. 12 panels (EP and FT — the
 // FT panel is also Fig. 2) at the sweep's endpoints.
 func BenchmarkFig12Benchmarks(b *testing.B) {
-	cfg := experiments.Config{Machine: benchMachine(), Cores: []int{2, 12}}
+	cfg := experiments.Config{Machine: simtest.Machine(12), Cores: []int{2, 12}}
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewCtx(context.Background(), cfg).Fig12([]string{"NPB-EP", "NPB-FT"})
 		if len(s) != 2 {
@@ -91,7 +86,7 @@ func BenchmarkFig12Benchmarks(b *testing.B) {
 
 // BenchmarkPsiCalibration runs the Eq. (6)/(7) microbenchmark calibration.
 func BenchmarkPsiCalibration(b *testing.B) {
-	mc := benchMachine()
+	mc := simtest.Machine(12)
 	for i := 0; i < b.N; i++ {
 		m, _, err := memmodel.CalibrateCtx(context.Background(), mc, []int{2, 4, 8, 12})
 		if err != nil || m.Phi.B >= 0 {
@@ -112,7 +107,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable3Overheads measures the FF-vs-synthesizer cost/accuracy
 // table on one benchmark.
 func BenchmarkTable3Overheads(b *testing.B) {
-	cfg := experiments.Config{Machine: benchMachine()}
+	cfg := experiments.Config{Machine: simtest.Machine(12)}
 	for i := 0; i < b.N; i++ {
 		if t := experiments.NewCtx(context.Background(), cfg).Table3([]string{"NPB-EP"}); len(t.Rows) != 1 {
 			b.Fatal("bad table")
@@ -126,7 +121,7 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	w, _ := workloads.ByName("MD-OMP")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		root, _, err := trace.Profile(w.Program, benchMachine().DRAM)
+		root, _, err := trace.Profile(w.Program, simtest.Machine(12).Spec.DRAM)
 		if err != nil || root.TotalLen() == 0 {
 			b.Fatal(err)
 		}
@@ -198,7 +193,7 @@ func benchName(tol float64) string {
 // (Table III's "time overhead per estimate", FF column).
 func BenchmarkFFEmulator(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -217,11 +212,11 @@ func BenchmarkFFEmulator(b *testing.B) {
 // (Table III, SYN column).
 func BenchmarkSynthesizer(b *testing.B) {
 	w, _ := workloads.ByName("NPB-CG")
-	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &synth.Synthesizer{Threads: 8, Sched: omprt.SchedStatic, Machine: benchMachine(), OmpOv: omprt.DefaultOverheads()}
+	s := &synth.Synthesizer{Threads: 8, Sched: omprt.SchedStatic, Machine: simtest.Machine(12), OmpOv: omprt.DefaultOverheads()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sp, err := s.SpeedupCtx(context.Background(), prof.Tree); err != nil || sp <= 0 {
@@ -236,7 +231,7 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, st := simtest.Run(b, benchMachine(), func(t *sim.Thread) {
+		_, st := simtest.Run(b, simtest.Machine(12), func(t *sim.Thread) {
 			ws := make([]*sim.Thread, 0, 24)
 			for k := 0; k < 24; k++ {
 				ws = append(ws, t.Spawn(func(w *sim.Thread) {
@@ -255,13 +250,13 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkSimEngineSpec is the same workload driven through a machine
-// spec (the default preset) instead of the flat legacy knobs: the
-// spec→machine derivation and the pooled spec-keyed reset must sustain
-// the engine's event throughput. CI gates the reported events/sec.
+// BenchmarkSimEngineSpec is the same workload on the paper machine's own
+// 50k-cycle quantum (switch cost off): the spec→machine derivation and
+// the pooled spec-keyed reset must sustain the engine's event
+// throughput. CI gates the reported events/sec.
 func BenchmarkSimEngineSpec(b *testing.B) {
 	b.ReportAllocs()
-	cfg := sim.Config{Spec: machine.Default(), ContextSwitch: -1}
+	cfg := sim.Config{Spec: simtest.Spec(12, 50_000, 0)}
 	var events int64
 	for i := 0; i < b.N; i++ {
 		_, st := simtest.Run(b, cfg, func(t *sim.Thread) {
@@ -289,7 +284,7 @@ func BenchmarkDRAMContention(b *testing.B) {
 	for _, threads := range []int{1, 4, 8, 12} {
 		threads := threads
 		b.Run(map[int]string{1: "t=1", 4: "t=4", 8: "t=8", 12: "t=12"}[threads], func(b *testing.B) {
-			mc := benchMachine()
+			mc := simtest.Machine(12)
 			for i := 0; i < b.N; i++ {
 				end, _ := simtest.Run(b, mc, func(t *sim.Thread) {
 					ws := make([]*sim.Thread, 0, threads-1)
@@ -314,7 +309,7 @@ func BenchmarkDRAMContention(b *testing.B) {
 // at 12 threads (the cost basis for the evaluation harness).
 func BenchmarkRealGroundTruth(b *testing.B) {
 	w, _ := workloads.ByName("NPB-EP")
-	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: benchMachine()})
+	prof, err := prophet.ProfileProgramCtx(context.Background(), w.Program, &prophet.Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,7 +340,7 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 		q := q
 		name := map[prophet.Cycles]string{5_000: "q=5k", 50_000: "q=50k", 200_000: "q=200k"}[q]
 		b.Run(name, func(b *testing.B) {
-			mc := sim.Config{Cores: 2, Quantum: q, ContextSwitch: -1}
+			mc := sim.Config{Spec: simtest.Spec(2, q, 0)}
 			for i := 0; i < b.N; i++ {
 				s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: mc, Threads: 2, Sched: omprt.SchedStatic1})
 				if err != nil {
@@ -412,7 +407,7 @@ func BenchmarkPipelineSchedules(b *testing.B) {
 	})
 	b.Run("machine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: benchMachine(), Threads: 3})
+			s, err := realrun.SpeedupCtx(context.Background(), root, realrun.Config{Machine: simtest.Machine(12), Threads: 3})
 			if err != nil {
 				b.Fatal(err)
 			}

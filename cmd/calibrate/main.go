@@ -13,9 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"prophet"
 	"prophet/internal/experiments"
 	"prophet/internal/memmodel"
 	"prophet/internal/sim"
@@ -29,17 +28,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var cores []int
-	for _, p := range strings.Split(*coresArg, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "bad core count %q\n", p)
-			os.Exit(2)
-		}
-		cores = append(cores, v)
+	cores, err := prophet.ParseCores(*coresArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
-	m, data, err := memmodel.CalibrateCtx(context.Background(), sim.DefaultConfig(), cores)
+	m, _, err := memmodel.CalibrateCtx(context.Background(), sim.Config{}, cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)
@@ -74,5 +69,4 @@ func main() {
 			fmt.Print(s.Table())
 		}
 	}
-	_ = data
 }

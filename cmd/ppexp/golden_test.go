@@ -8,19 +8,13 @@ import (
 	"testing"
 
 	"prophet/internal/experiments"
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 )
 
 // update regenerates the golden files instead of comparing:
 //
 //	go test ./cmd/ppexp -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden files under results/golden/")
-
-// goldenMachine matches the experiment tests' fast machine: exact
-// makespans (no context-switch cost), small quantum.
-func goldenMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
-}
 
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
@@ -54,7 +48,7 @@ func TestGoldenTable1(t *testing.T) {
 // byte-identical to serial at any worker count.
 func TestGoldenRanking(t *testing.T) {
 	h := experiments.NewCtx(context.Background(), experiments.Config{
-		Machine: goldenMachine(), Samples: 10, Seed: 13, Workers: 4,
+		Machine: simtest.Machine(12), Samples: 10, Seed: 13, Workers: 4,
 	})
 	checkGolden(t, "ranking.golden", h.ScheduleRanking().String())
 }

@@ -76,8 +76,7 @@ func TestEstimateBudgetExceededIsTyped(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	machine := DefaultMachine()
-	machine.MaxEvents = 5 // far below what the synthesizer run needs
+	machine := MachineConfig{MaxEvents: 5} // far below what the synthesizer run needs
 	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: machine, DisableMemoryModel: true})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
@@ -152,8 +151,7 @@ func TestCurveCarriesPerPointErrors(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	machine := DefaultMachine()
-	machine.MaxEvents = 5
+	machine := MachineConfig{MaxEvents: 5}
 	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: machine, DisableMemoryModel: true})
 	if err != nil {
 		t.Fatalf("profile: %v", err)

@@ -20,7 +20,6 @@ func ExampleProfileProgramCtx() {
 		ctx.SecEnd(false)
 	}
 	prof, err := prophet.ProfileProgramCtx(context.Background(), program, &prophet.Options{
-		Machine:            prophet.MachineConfig{Cores: 12, Quantum: 10_000, ContextSwitch: -1},
 		DisableMemoryModel: true,
 	})
 	if err != nil {
@@ -54,7 +53,6 @@ func ExampleProfile_EstimateCtx() {
 		ctx.SecEnd(false)
 	}
 	prof, err := prophet.ProfileProgramCtx(context.Background(), program, &prophet.Options{
-		Machine:            prophet.MachineConfig{Cores: 4, Quantum: 10_000, ContextSwitch: -1},
 		DisableMemoryModel: true,
 	})
 	if err != nil {

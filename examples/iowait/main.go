@@ -29,7 +29,15 @@ func fetchComputeStore(ctx prophet.Context) {
 
 func main() {
 	ctx := context.Background()
-	machine := prophet.MachineConfig{Cores: 4}
+	// The paper machine cut down to 4 cores: copy the default preset
+	// and validate the copy.
+	quad := *prophet.DefaultMachineSpec()
+	quad.Name, quad.Desc = "westmere4", "the paper machine with 4 of its 12 cores"
+	quad.CoreGroups = []prophet.CoreGroup{{Count: 4, Speed: 1}}
+	if err := quad.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	machine := prophet.MachineConfig{Spec: &quad}
 	prof, err := prophet.ProfileProgramCtx(ctx, fetchComputeStore, &prophet.Options{Machine: machine})
 	if err != nil {
 		log.Fatal(err)

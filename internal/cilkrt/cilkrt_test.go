@@ -10,13 +10,9 @@ import (
 
 var zeroOv = Overheads{}
 
-func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
-
 func TestRunRootOnly(t *testing.T) {
 	rt := New(4, zeroOv)
-	end, _ := simtest.Run(t, mcfg(4), func(th *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Thread().Work(12_345)
 		})
@@ -28,7 +24,7 @@ func TestRunRootOnly(t *testing.T) {
 
 func TestSpawnRunsInParallel(t *testing.T) {
 	rt := New(2, zeroOv)
-	end, st := simtest.Run(t, mcfg(2), func(th *sim.Thread) {
+	end, st := simtest.Run(t, simtest.Machine(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) { cc.Thread().Work(50_000) })
 			c.Thread().Work(50_000)
@@ -44,7 +40,7 @@ func TestSpawnRunsInParallel(t *testing.T) {
 func TestSyncWaitsForChildren(t *testing.T) {
 	rt := New(2, zeroOv)
 	var childDone, syncSeen clock.Cycles
-	simtest.Run(t, mcfg(2), func(th *sim.Thread) {
+	simtest.Run(t, simtest.Machine(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) {
 				cc.Thread().Work(80_000)
@@ -65,7 +61,7 @@ func TestImplicitSyncAtTaskReturn(t *testing.T) {
 	// sync at function return must still cover the grandchild.
 	rt := New(2, zeroOv)
 	var grandDone clock.Cycles
-	end, _ := simtest.Run(t, mcfg(2), func(th *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.Spawn(func(cc *Ctx) {
 				cc.Spawn(func(g *Ctx) {
@@ -86,7 +82,7 @@ func TestForCoversAllIterations(t *testing.T) {
 	rt := New(4, zeroOv)
 	n := 103
 	seen := make([]int, n)
-	simtest.Run(t, mcfg(4), func(th *sim.Thread) {
+	simtest.Run(t, simtest.Machine(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(n, 0, func(cc *Ctx, i int) {
 				seen[i]++
@@ -106,7 +102,7 @@ func TestForSpeedsUp(t *testing.T) {
 	// Work stealing should land within 30%.
 	run := func(workers int) clock.Cycles {
 		rt := New(workers, zeroOv)
-		end, _ := simtest.Run(t, mcfg(8), func(th *sim.Thread) {
+		end, _ := simtest.Run(t, simtest.Machine(8), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) {
 				c.For(64, 1, func(cc *Ctx, i int) {
 					cc.Thread().Work(10_000)
@@ -141,7 +137,7 @@ func TestRecursiveDivideAndConquer(t *testing.T) {
 	}
 	run := func(workers int) clock.Cycles {
 		rt := New(workers, zeroOv)
-		end, _ := simtest.Run(t, mcfg(workers), func(th *sim.Thread) {
+		end, _ := simtest.Run(t, simtest.Machine(workers), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) { build(c, 7) }) // 128 leaves
 		})
 		return end
@@ -160,7 +156,7 @@ func TestRecursiveDivideAndConquer(t *testing.T) {
 func TestStealsHappenAndAreCounted(t *testing.T) {
 	rt := New(4, zeroOv)
 	var st Stats
-	simtest.Run(t, mcfg(4), func(th *sim.Thread) {
+	simtest.Run(t, simtest.Machine(4), func(th *sim.Thread) {
 		st = rt.Run(th, func(c *Ctx) {
 			c.For(32, 1, func(cc *Ctx, i int) {
 				cc.Thread().Work(20_000)
@@ -178,7 +174,7 @@ func TestStealsHappenAndAreCounted(t *testing.T) {
 func TestOverheadsCharged(t *testing.T) {
 	run := func(ov Overheads) clock.Cycles {
 		rt := New(1, ov)
-		end, _ := simtest.Run(t, mcfg(1), func(th *sim.Thread) {
+		end, _ := simtest.Run(t, simtest.Machine(1), func(th *sim.Thread) {
 			rt.Run(th, func(c *Ctx) {
 				for i := 0; i < 10; i++ {
 					c.Spawn(func(cc *Ctx) { cc.Thread().Work(100) })
@@ -198,7 +194,7 @@ func TestOverheadsCharged(t *testing.T) {
 func TestLocksInsideTasks(t *testing.T) {
 	// L-node emulation: tasks serialize on a mutex via the sim thread.
 	rt := New(4, zeroOv)
-	end, _ := simtest.Run(t, mcfg(4), func(th *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(4), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(4, 1, func(cc *Ctx, i int) {
 				cc.Thread().Lock(9)
@@ -221,8 +217,8 @@ func TestDeterminism(t *testing.T) {
 			})
 		})
 	}
-	e1, _ := simtest.Run(t, mcfg(3), prog)
-	e2, _ := simtest.Run(t, mcfg(3), prog)
+	e1, _ := simtest.Run(t, simtest.Machine(3), prog)
+	e2, _ := simtest.Run(t, simtest.Machine(3), prog)
 	if e1 != e2 {
 		t.Fatalf("nondeterministic: %d vs %d", e1, e2)
 	}
@@ -237,7 +233,7 @@ func TestWorkersClampedToOne(t *testing.T) {
 
 func TestForZeroIterations(t *testing.T) {
 	rt := New(2, zeroOv)
-	end, _ := simtest.Run(t, mcfg(2), func(th *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(2), func(th *sim.Thread) {
 		rt.Run(th, func(c *Ctx) {
 			c.For(0, 1, func(cc *Ctx, i int) { t.Error("body ran") })
 		})

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"prophet/internal/sim/simtest"
 )
 
 // renderFig11 renders everything Fig11 emits — the summary table plus
@@ -11,7 +13,7 @@ import (
 // output paths.
 func renderFig11(t *testing.T, workers int) string {
 	t.Helper()
-	res := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 6, Seed: 7, Workers: workers}).Fig11()
+	res := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Samples: 6, Seed: 7, Workers: workers}).Fig11()
 	if res.Failed != 0 {
 		t.Fatalf("workers=%d: %d failed cells", workers, res.Failed)
 	}
@@ -27,7 +29,7 @@ func renderFig11(t *testing.T, workers int) string {
 
 func renderFig12(t *testing.T, workers int) string {
 	t.Helper()
-	series := NewCtx(context.Background(), Config{Machine: fastMachine(), Cores: []int{2, 8}, Workers: workers}).
+	series := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Cores: []int{2, 8}, Workers: workers}).
 		Fig12([]string{"NPB-EP", "MD-OMP"})
 	var b strings.Builder
 	for _, s := range series {
@@ -65,8 +67,8 @@ func TestFig12DeterministicAcrossWorkers(t *testing.T) {
 
 // TestRankingDeterministicAcrossWorkers covers the third harness sweep.
 func TestRankingDeterministicAcrossWorkers(t *testing.T) {
-	serial := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 1}).ScheduleRanking().String()
-	parallel := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 5, Seed: 13, Workers: 8}).ScheduleRanking().String()
+	serial := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Samples: 5, Seed: 13, Workers: 1}).ScheduleRanking().String()
+	parallel := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Samples: 5, Seed: 13, Workers: 8}).ScheduleRanking().String()
 	if serial != parallel {
 		t.Errorf("ranking differs between workers=1 and workers=8:\n%s\nvs\n%s", serial, parallel)
 	}

@@ -24,6 +24,7 @@ import (
 	"prophet"
 	"prophet/internal/clock"
 	"prophet/internal/ff"
+	"prophet/internal/machine"
 	"prophet/internal/memmodel"
 	"prophet/internal/obs"
 	"prophet/internal/report"
@@ -151,8 +152,13 @@ func Fig7(cfg Config) *report.Table {
 	root := tree.NewRoot(tree.NewSec("Loop1",
 		tree.NewTask("t0", la), tree.NewTask("t1", lb)))
 
-	mc := cfg.Machine
-	mc.Cores = 2
+	// The harness machine, cut down to the paper's dual core.
+	mc := cfg.Machine.Normalized()
+	dual := *mc.Spec
+	dual.Name += "-dual"
+	dual.CoreGroups = []machine.CoreGroup{{Count: 2, Speed: 1}}
+	dual.DRAM.SecondDomain = nil
+	mc.Spec = &dual
 	ctx := context.Background()
 	p, _ := prophet.ProfileTreeCtx(ctx, root, &prophet.Options{
 		Machine: mc, DisableMemoryModel: true, CompressTolerance: -1,

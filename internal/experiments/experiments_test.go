@@ -6,14 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/stats"
 )
-
-// fastMachine keeps experiment tests quick and exact.
-func fastMachine() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 10_000, ContextSwitch: -1}
-}
 
 func TestFig4TreeDump(t *testing.T) {
 	s := Fig4()
@@ -36,7 +31,7 @@ func TestFig5PaperNumbers(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tb := Fig7(Config{Machine: fastMachine()})
+	tb := Fig7(Config{Machine: simtest.Machine(12)})
 	out := tb.String()
 	if !strings.Contains(out, "FF") || !strings.Contains(out, "Synthesizer") {
 		t.Fatalf("Fig7 table incomplete:\n%s", out)
@@ -72,7 +67,7 @@ func TestFig11SmallSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation sweep is slow")
 	}
-	res := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 12, Seed: 7}).Fig11()
+	res := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Samples: 12, Seed: 7}).Fig11()
 	get := func(name string) map[string]*stats.Accumulator {
 		for _, c := range res.Cases {
 			if c.Name == name {
@@ -131,7 +126,7 @@ func TestFig12ShapeEPvsFT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	series := NewCtx(context.Background(), Config{Machine: fastMachine(), Cores: []int{2, 12}}).Fig12([]string{"NPB-EP", "NPB-FT"})
+	series := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Cores: []int{2, 12}}).Fig12([]string{"NPB-EP", "NPB-FT"})
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -183,11 +178,11 @@ func TestTable3AndOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	t3 := NewCtx(context.Background(), Config{Machine: fastMachine()}).Table3([]string{"NPB-EP"})
+	t3 := NewCtx(context.Background(), Config{Machine: simtest.Machine(12)}).Table3([]string{"NPB-EP"})
 	if len(t3.Rows) != 1 {
 		t.Fatalf("Table3 rows = %d", len(t3.Rows))
 	}
-	ov := NewCtx(context.Background(), Config{Machine: fastMachine()}).OverheadTable([]string{"NPB-EP", "NPB-FT"})
+	ov := NewCtx(context.Background(), Config{Machine: simtest.Machine(12)}).OverheadTable([]string{"NPB-EP", "NPB-FT"})
 	if len(ov.Rows) != 2 {
 		t.Fatalf("overhead rows = %d", len(ov.Rows))
 	}
@@ -198,7 +193,7 @@ func TestTable3AndOverhead(t *testing.T) {
 }
 
 func TestCalibrationReport(t *testing.T) {
-	text, series := Calibration(Config{Machine: fastMachine(), Cores: []int{2, 4, 8, 12}})
+	text, series := Calibration(Config{Machine: simtest.Machine(12), Cores: []int{2, 4, 8, 12}})
 	if !strings.Contains(text, "Phi") || !strings.Contains(text, "101481") {
 		t.Errorf("calibration text incomplete:\n%s", text)
 	}
@@ -214,7 +209,7 @@ func TestScheduleRanking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tb := NewCtx(context.Background(), Config{Machine: fastMachine(), Samples: 25, Seed: 13}).ScheduleRanking()
+	tb := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Samples: 25, Seed: 13}).ScheduleRanking()
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -235,7 +230,7 @@ func TestMachineMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark sweep is slow")
 	}
-	h := NewCtx(context.Background(), Config{Machine: fastMachine(), Cores: []int{8}})
+	h := NewCtx(context.Background(), Config{Machine: simtest.Machine(12), Cores: []int{8}})
 	tab := h.MachineMatrix([]string{"NPB-CG"}, []string{"westmere12", "embedded4+4", "hbm12"})
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tab.Rows))
@@ -267,7 +262,7 @@ func TestTable3DropsFailedRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	mc := fastMachine()
+	mc := simtest.Machine(12)
 	mc.MaxEvents = 10_000
 	tab := NewCtx(context.Background(), Config{Machine: mc}).Table3([]string{"NPB-EP", "NPB-CG"})
 	if len(tab.Rows) != 1 || tab.Rows[0][0] != "NPB-EP" {
@@ -279,7 +274,7 @@ func TestTable3DropsFailedRows(t *testing.T) {
 // fits in, every sample fails and the ranking table has no rows instead of
 // tallying zero speedups.
 func TestScheduleRankingDropsFailedSamples(t *testing.T) {
-	mc := fastMachine()
+	mc := simtest.Machine(12)
 	mc.MaxEvents = 1
 	tab := NewCtx(context.Background(), Config{Machine: mc, Samples: 3, Seed: 13}).ScheduleRanking()
 	if len(tab.Rows) != 0 {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"prophet/internal/sim/simtest"
 )
 
 // BenchmarkSweepScaling times the Fig. 11 validation sweep serially and
@@ -19,7 +21,7 @@ import (
 // on a single-CPU machine (some CI containers) the two times converge,
 // which the CSV makes visible rather than hiding.
 func BenchmarkSweepScaling(b *testing.B) {
-	cfg := Config{Machine: fastMachine(), Samples: 16, Seed: 7}
+	cfg := Config{Machine: simtest.Machine(12), Samples: 16, Seed: 7}
 	run := func(workers int) time.Duration {
 		cfg := cfg
 		cfg.Workers = workers

@@ -16,8 +16,9 @@ import (
 	"prophet"
 	"prophet/internal/clock"
 	"prophet/internal/faults"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/trace"
 	"prophet/internal/tree"
 )
@@ -46,7 +47,7 @@ func memProg(sections, tasks int) trace.Program {
 // counters the noise perturbed).
 func profileNoisy(t *testing.T, in *faults.Injector, prog trace.Program) *prophet.Profile {
 	t.Helper()
-	p := trace.NewSimProfiler(mem.DRAMConfig{})
+	p := trace.NewSimProfiler(machine.Default().DRAM, trace.LengthCycles, nil)
 	p.WithHooks(in.TraceHooks())
 	prog(p)
 	root, err := p.Finish()
@@ -157,7 +158,7 @@ func TestDroppedAndDuplicatedEventsFailTyped(t *testing.T) {
 // exactly for a fixed seed; the jitter stream actually perturbs the
 // schedule (different seeds may differ).
 func TestQuantumJitterIsDeterministic(t *testing.T) {
-	cfg := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	cfg := simtest.Machine(2)
 	run := func(seed int64) clock.Cycles {
 		in := faults.New(faults.Config{Seed: seed, QuantumJitter: 0.25})
 		total, _, err := sim.RunOpt(cfg, sim.RunOpts{Faults: in.SimFaults()}, func(th *sim.Thread) {
@@ -181,7 +182,7 @@ func TestQuantumJitterIsDeterministic(t *testing.T) {
 // not speed a memory-bound parallel run up, and should measurably slow
 // it down.
 func TestBandwidthDegradeSlowsMemoryBoundRun(t *testing.T) {
-	cfg := sim.Config{Cores: 8, DRAM: mem.DefaultDRAM()}
+	cfg := sim.Config{Spec: simtest.Spec(8, 50_000, 1_000)}
 	run := func(hooks *sim.FaultHooks) clock.Cycles {
 		total, _, err := sim.RunOpt(cfg, sim.RunOpts{Faults: hooks}, func(th *sim.Thread) {
 			var ts []*sim.Thread
@@ -253,7 +254,7 @@ func TestClockSkewStillProducesValidTree(t *testing.T) {
 // degrade the failure taxonomy.
 func TestFaultsComposeWithTypedFailures(t *testing.T) {
 	in := faults.New(faults.Config{Seed: 3, QuantumJitter: 0.25})
-	cfg := sim.Config{Cores: 2, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	cfg := simtest.Machine(2)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

@@ -4,21 +4,21 @@
 // model (with an optional second NUMA-ish bandwidth domain), plus a
 // registry of named presets.
 //
-// A Spec is the single source of machine truth for the rest of the
-// system: internal/sim and internal/mem derive their runtime
-// configuration from it, the prediction API selects one per request by
-// name, and the estimate-cache/cluster-routing keys incorporate the name.
-// The split between the validated, immutable Spec and the pooled mutable
-// machine instance (sim.Machine, mem.DRAM) is what lets one spec be
-// shared by every concurrent run without copying or locking.
+// A Spec is the only description of a machine in the system:
+// internal/sim and internal/mem derive their runtime state from it, the
+// prediction API selects one per request by name, and the
+// estimate-cache/cluster-routing keys incorporate the name. The split
+// between the validated, immutable Spec and the pooled mutable machine
+// instance (sim.Machine, mem.DRAM) is what lets one spec be shared by
+// every concurrent run without copying or locking.
 //
 // Specs are validated strictly: Validate never rewrites a field. A zero
 // field that would be meaningless (no cores, zero quantum) is an error,
 // while a zero field with a legitimate meaning (ContextSwitch: 0 — free
 // context switches; SecondDomain: nil — a single bandwidth domain) is
-// kept exactly as written. This is deliberately different from the legacy
-// knob structs (sim.Config, mem.DRAMConfig), whose zero values silently
-// fall back to paper-machine defaults for compatibility.
+// kept exactly as written. No zero value anywhere silently falls back to
+// the paper machine; the one default is explicit: a nil *Spec in a
+// sim.Config means Default().
 package machine
 
 import (
@@ -125,8 +125,8 @@ type Spec struct {
 	// Quantum is the OS scheduling time slice in nominal cycles.
 	Quantum clock.Cycles `json:"quantum"`
 	// ContextSwitch is the cost of switching a core between threads, in
-	// nominal cycles. Zero means genuinely free — unlike the legacy
-	// sim.Config knob, it is never rewritten to a default.
+	// nominal cycles. Zero means genuinely free; it is never rewritten
+	// to a default.
 	ContextSwitch clock.Cycles `json:"context_switch"`
 	// LLC sizes the shared last-level cache.
 	LLC LLCSpec `json:"llc"`
@@ -160,7 +160,7 @@ func (s *Spec) SpeedOf(i int) float64 {
 }
 
 // Homogeneous reports whether every core runs at speed 1 — the case the
-// simulator's byte-identical legacy fast path covers.
+// simulator's unscaled fast path covers.
 func (s *Spec) Homogeneous() bool {
 	for _, g := range s.CoreGroups {
 		if g.Speed != 1 {

@@ -164,9 +164,9 @@ func TestRegisterRejectsDuplicateAndInvalid(t *testing.T) {
 	}
 }
 
-// TestDefaultMatchesPaperMachine pins westmere12 to the historical
-// sim/mem default values: the byte-identity of every pre-spec golden file
-// depends on these exact numbers.
+// TestDefaultMatchesPaperMachine pins westmere12 to the paper-machine
+// values: the byte-identity of every golden file depends on these exact
+// numbers.
 func TestDefaultMatchesPaperMachine(t *testing.T) {
 	d := Default()
 	if d.Cores() != 12 || !d.Homogeneous() {

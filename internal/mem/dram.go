@@ -11,6 +11,9 @@
 // bandwidth, every active thread's memory time stretches by the
 // oversubscription ratio. The Ψ/Φ calibration in internal/memmodel re-runs
 // the paper's microbenchmark against this model.
+//
+// Both models take their parameters from a validated machine spec
+// (machine.DRAMSpec, machine.LLCSpec) and apply no defaults of their own.
 package mem
 
 import (
@@ -18,57 +21,11 @@ import (
 	"prophet/internal/machine"
 )
 
-// DRAMConfig describes the DRAM of the simulated machine.
-//
-// DRAMConfig is the legacy knob form, kept as a thin wrapper over
-// machine.DRAMSpec: zero-valued fields fall back to the DefaultDRAM
-// (paper-machine) values, and it cannot express a second bandwidth
-// domain. New code should construct a validated machine.Spec and use
-// NewDRAMSpec / (*DRAM).ResetSpec (or go through sim.Config.Spec, which
-// does so automatically); the wrapper exists so pre-spec callers keep
-// byte-identical behaviour.
-type DRAMConfig struct {
-	// UnloadedLatency ω₀ is the effective per-miss CPU stall in cycles
-	// when the bus is idle (MLP-adjusted: overlapping misses make this
-	// much smaller than the raw DRAM round trip).
-	UnloadedLatency float64
-	// BandwidthBytesPerCycle is the total sustainable DRAM bandwidth in
-	// bytes per core cycle, shared by all cores.
-	BandwidthBytesPerCycle float64
-	// Knee is the utilization fraction at which queueing starts to add
-	// latency even before full saturation (0 < Knee <= 1). Above the
-	// knee, latency rises smoothly toward the fluid-sharing limit.
-	Knee float64
-}
-
-// DefaultDRAM models a two-socket Westmere-class memory system at a 2.4 GHz
-// core clock: ω₀ = 40 cycles/miss gives a single-thread streaming bandwidth
-// of 64/40 = 1.6 B/cycle (~3.8 GB/s), and the shared bus sustains
-// 8 B/cycle (~19 GB/s), so bandwidth saturates around five streaming
-// threads — matching the speedup-saturation points the paper observes on
-// 12 cores (Fig. 2, Fig. 12).
-func DefaultDRAM() DRAMConfig {
-	return DRAMConfig{
-		UnloadedLatency:        40,
-		BandwidthBytesPerCycle: 8,
-		Knee:                   0.75,
-	}
-}
-
-// SingleThreadBandwidth returns the maximum traffic one thread can generate
-// (bytes/cycle): one line per ω₀ cycles.
-func (c DRAMConfig) SingleThreadBandwidth() float64 {
-	if c.UnloadedLatency <= 0 {
-		return c.BandwidthBytesPerCycle
-	}
-	return counters.LineSize / c.UnloadedLatency
-}
-
 // DRAM tracks the set of currently memory-active threads and computes the
 // latency stretch they experience. It is used by the simulator engine,
 // which serializes all accesses, so no locking is needed.
 type DRAM struct {
-	cfg    DRAMConfig
+	spec   machine.DRAMSpec
 	demand float64 // sum of registered unconstrained demands (B/cycle)
 	active int
 	// Stretch memo: the fluid-model curve only depends on the aggregate
@@ -91,7 +48,7 @@ type DRAM struct {
 	// fields stay zero for single-domain machines, whose code path is
 	// byte-identical to the pre-domain model.
 	hasDom2     bool
-	cfg2        DRAMConfig // cfg with the second domain's bandwidth
+	spec2       machine.DRAMSpec // spec with the second domain's bandwidth
 	demand2     float64
 	active2     int
 	stretchDem2 float64
@@ -99,67 +56,18 @@ type DRAM struct {
 	stretchOK2  bool
 }
 
-// normalized fills zero-value fields with DefaultDRAM values.
-func (c DRAMConfig) normalized() DRAMConfig {
-	def := DefaultDRAM()
-	if c.UnloadedLatency <= 0 {
-		c.UnloadedLatency = def.UnloadedLatency
-	}
-	if c.BandwidthBytesPerCycle <= 0 {
-		c.BandwidthBytesPerCycle = def.BandwidthBytesPerCycle
-	}
-	if c.Knee <= 0 || c.Knee > 1 {
-		c.Knee = def.Knee
-	}
-	return c
-}
-
-// ConfigFromSpec converts validated machine-spec DRAM parameters to the
-// knob form (primary-domain bandwidth; the second domain, if any, is
-// carried by ResetSpec). The spec is taken as-is — validation already
-// rejected the zero values the legacy normalization would rewrite.
-func ConfigFromSpec(s machine.DRAMSpec) DRAMConfig {
-	return DRAMConfig{
-		UnloadedLatency:        s.UnloadedLatency,
-		BandwidthBytesPerCycle: s.BandwidthBytesPerCycle,
-		Knee:                   s.Knee,
-	}
-}
-
-// NewDRAM returns a DRAM model with the given configuration. Zero-value
-// fields fall back to DefaultDRAM values.
-func NewDRAM(cfg DRAMConfig) *DRAM {
-	return &DRAM{cfg: cfg.normalized()}
-}
-
-// NewDRAMSpec returns a DRAM model for a validated machine spec,
-// including its optional second bandwidth domain.
-func NewDRAMSpec(s machine.DRAMSpec) *DRAM {
-	d := &DRAM{}
-	d.ResetSpec(s)
-	return d
-}
-
-// Reset reinitializes the model in place for a fresh run with the given
-// configuration — the pooled-machine equivalent of NewDRAM.
-func (d *DRAM) Reset(cfg DRAMConfig) {
-	*d = DRAM{cfg: cfg.normalized()}
-}
-
-// ResetSpec is Reset for a validated machine spec: no field fallbacks,
-// and the spec's second bandwidth domain (when present) is installed.
-func (d *DRAM) ResetSpec(s machine.DRAMSpec) {
-	cfg := ConfigFromSpec(s)
-	*d = DRAM{cfg: cfg}
+// Reset (re)initializes the model in place for a fresh run against a
+// validated machine spec, installing the spec's second bandwidth domain
+// when present. A DRAM must be Reset before use; pooled machines reset
+// theirs on every run.
+func (d *DRAM) Reset(s machine.DRAMSpec) {
+	*d = DRAM{spec: s}
 	if sd := s.SecondDomain; sd != nil {
 		d.hasDom2 = true
-		d.cfg2 = cfg
-		d.cfg2.BandwidthBytesPerCycle = sd.BandwidthBytesPerCycle
+		d.spec2 = s
+		d.spec2.BandwidthBytesPerCycle = sd.BandwidthBytesPerCycle
 	}
 }
-
-// Config returns the model's configuration.
-func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
 // Register adds a thread's unconstrained demand (bytes/cycle) to the active
 // set. It returns a handle value to pass to Unregister.
@@ -207,16 +115,16 @@ func (d *DRAM) SetBandwidthHook(hook func(base float64) float64) {
 // fluid-sharing limit applies: every byte takes demand/B times longer.
 func (d *DRAM) Stretch() float64 {
 	if d.bwHook != nil {
-		cfg := d.cfg
-		if b := d.bwHook(cfg.BandwidthBytesPerCycle); b > 0 {
-			cfg.BandwidthBytesPerCycle = b
+		s := d.spec
+		if b := d.bwHook(s.BandwidthBytesPerCycle); b > 0 {
+			s.BandwidthBytesPerCycle = b
 		}
-		return cfg.StretchAt(d.demand)
+		return StretchAt(s, d.demand)
 	}
 	if d.stretchOK && d.demand == d.stretchDemand {
 		return d.stretchVal
 	}
-	v := d.cfg.StretchAt(d.demand)
+	v := StretchAt(d.spec, d.demand)
 	d.stretchDemand, d.stretchVal, d.stretchOK = d.demand, v, true
 	return v
 }
@@ -262,25 +170,33 @@ func (d *DRAM) StretchDom(dom int) float64 {
 		return d.Stretch()
 	}
 	if d.bwHook != nil {
-		cfg := d.cfg2
-		if b := d.bwHook(cfg.BandwidthBytesPerCycle); b > 0 {
-			cfg.BandwidthBytesPerCycle = b
+		s := d.spec2
+		if b := d.bwHook(s.BandwidthBytesPerCycle); b > 0 {
+			s.BandwidthBytesPerCycle = b
 		}
-		return cfg.StretchAt(d.demand2)
+		return StretchAt(s, d.demand2)
 	}
 	if d.stretchOK2 && d.demand2 == d.stretchDem2 {
 		return d.stretchVal2
 	}
-	v := d.cfg2.StretchAt(d.demand2)
+	v := StretchAt(d.spec2, d.demand2)
 	d.stretchDem2, d.stretchVal2, d.stretchOK2 = d.demand2, v, true
 	return v
 }
 
-// StretchAt computes the stretch for an arbitrary aggregate demand. Exposed
-// so tests and the ω-model can evaluate the curve directly.
-func (c DRAMConfig) StretchAt(demand float64) float64 {
-	b := c.BandwidthBytesPerCycle
-	knee := c.Knee * b
+// StretchAt computes the stretch the DRAM s applies at an arbitrary
+// aggregate demand. Exposed so tests and the ω-model can evaluate the
+// curve directly.
+//
+// The curve is not monotone at saturation: just below B the queueing
+// term gives 1 + 0.15·frac² ≈ 1.15, while at B the fluid term gives
+// B/B = 1.0, and it only regains 1.15 at 1.15·B. A demand pair that
+// straddles B therefore sees the stretch fall — the root cause of the
+// occasional TestStretchMonotoneProperty failure. The curve is kept as
+// is because every golden output was produced with it.
+func StretchAt(s machine.DRAMSpec, demand float64) float64 {
+	b := s.BandwidthBytesPerCycle
+	knee := s.Knee * b
 	switch {
 	case demand <= knee:
 		return 1
@@ -299,20 +215,21 @@ func (c DRAMConfig) StretchAt(demand float64) float64 {
 
 // Omega returns the effective per-miss stall in cycles at the given
 // aggregate demand: ω = ω₀ · stretch.
-func (c DRAMConfig) Omega(demand float64) float64 {
-	return c.UnloadedLatency * c.StretchAt(demand)
+func Omega(s machine.DRAMSpec, demand float64) float64 {
+	return s.UnloadedLatency * StretchAt(s, demand)
 }
 
 // UnconstrainedDemand returns the demand (bytes/cycle) a work segment of
 // instrCycles CPU cycles and misses LLC misses generates when the bus is
-// idle: misses·LineSize / (instrCycles + misses·ω₀).
-func (c DRAMConfig) UnconstrainedDemand(instrCycles float64, misses float64) float64 {
+// idle: misses·LineSize / (instrCycles + misses·ω₀). A lone thread can
+// generate at most one line per ω₀ cycles, the pure-streaming limit.
+func UnconstrainedDemand(s machine.DRAMSpec, instrCycles float64, misses float64) float64 {
 	if misses <= 0 {
 		return 0
 	}
-	t := instrCycles + misses*c.UnloadedLatency
+	t := instrCycles + misses*s.UnloadedLatency
 	if t <= 0 {
-		return c.SingleThreadBandwidth()
+		return counters.LineSize / s.UnloadedLatency
 	}
 	return misses * counters.LineSize / t
 }

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"context"
+	"slices"
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
@@ -67,14 +68,25 @@ func measure(ctx context.Context, mc sim.Config, hz float64, t int, instrPerMiss
 }
 
 // CalibrateCtx runs the paper's §V-D microbenchmark against the simulated
-// machine mc and fits Ψ for every thread count in threadCounts (linear for
-// t = 2, a·ln δ + b otherwise, as Eq. (6) does) and Φ as a power law
-// (Eq. (7), fitted on points with δ ≥ the traffic floor). The
-// microbenchmark sweep checks ctx between machine runs and aborts with an
-// error wrapping ctx.Err().
+// machine mc and fits Ψ for every distinct thread count in threadCounts
+// (linear for t = 2, a·ln δ + b otherwise, as Eq. (6) does) and Φ as a
+// power law (Eq. (7), fitted on points with δ ≥ the traffic floor). The
+// thread counts are sorted and de-duplicated first, so the fit depends on
+// the set of counts only: a repeated count would otherwise weigh its
+// points twice in Φ. The microbenchmark sweep checks ctx between machine
+// runs and aborts with an error wrapping ctx.Err().
 func CalibrateCtx(ctx context.Context, mc sim.Config, threadCounts []int) (*Model, CalibrationData, error) {
-	// Context-switch noise would blur the symmetric measurement.
-	mc.ContextSwitch = -1
+	// Context-switch noise would blur the symmetric measurement: run on
+	// a copy of the machine whose switches are free.
+	mc = mc.Normalized()
+	if mc.Spec.ContextSwitch != 0 {
+		free := *mc.Spec
+		free.ContextSwitch = 0
+		mc.Spec = &free
+	}
+	threadCounts = slices.Clone(threadCounts)
+	slices.Sort(threadCounts)
+	threadCounts = slices.Compact(threadCounts)
 	hz := clock.DefaultHz
 	m := &Model{
 		Hz:             hz,

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
-	"prophet/internal/mem"
 	"prophet/internal/sim"
 	"prophet/internal/sim/simtest"
 	"prophet/internal/tree"
@@ -129,12 +129,8 @@ func TestPsiInterpolationForUncalibratedCounts(t *testing.T) {
 	}
 }
 
-func simCfg() sim.Config {
-	return sim.Config{Cores: 12, Quantum: 50_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
-}
-
 func TestCalibrationShapes(t *testing.T) {
-	m, data, err := CalibrateCtx(context.Background(), simCfg(), []int{2, 4, 6, 8, 10, 12})
+	m, data, err := CalibrateCtx(context.Background(), sim.Config{}, []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatalf("CalibrateCtx: %v", err)
 	}
@@ -172,8 +168,26 @@ func TestCalibrationShapes(t *testing.T) {
 // able to predict the speedups mostly within a 30% error bound". Here,
 // SPMD memory-bound programs are run for real on the simulated machine and
 // compared against the burden-factor prediction.
+// TestCalibrationDeduplicatesThreadCounts: the fitted model depends on
+// the set of thread counts only, not on their order or on repeats — a
+// repeated count must not weigh its points twice in the Φ fit.
+func TestCalibrationDeduplicatesThreadCounts(t *testing.T) {
+	ctx := context.Background()
+	want, _, err := CalibrateCtx(ctx, sim.Config{}, []int{2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := CalibrateCtx(ctx, sim.Config{}, []int{8, 4, 2, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("calibration over {8,4,2,4,4} = Phi %+v, want the {2,4,8} model's Phi %+v", got.Phi, want.Phi)
+	}
+}
+
 func TestCalibrationPredictsSaturatedSPMD(t *testing.T) {
-	mc := simCfg()
+	mc := sim.Config{Spec: simtest.Spec(12, 50_000, 0)}
 	m, _, err := CalibrateCtx(context.Background(), mc, []int{2, 4, 6, 8, 10, 12})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 func assignmentMap(tb testing.TB, threads, n int, sched Sched) []int {
 	owner := make([]int, n)
 	rt := New(threads, zeroOv)
-	simtest.Run(tb, mcfg(threads+1), func(t *sim.Thread) {
+	simtest.Run(tb, simtest.Machine(threads+1), func(t *sim.Thread) {
 		rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 			owner[i] = w.ID() // engine-serialized: safe
 			w.Work(10)
@@ -70,7 +70,7 @@ func TestDynamicMonotonePerWorker(t *testing.T) {
 	const nt, n = 4, 50
 	var perWorker [nt][]int
 	rt := New(nt, zeroOv)
-	simtest.Run(t, mcfg(nt+1), func(th *sim.Thread) {
+	simtest.Run(t, simtest.Machine(nt+1), func(th *sim.Thread) {
 		ids := map[int]int{}
 		rt.ParallelFor(th, n, SchedDynamic1, func(w *sim.Thread, i int) {
 			r, ok := ids[w.ID()]
@@ -96,7 +96,7 @@ func TestDynamicMonotonePerWorker(t *testing.T) {
 func TestBarrierHoldsMaster(t *testing.T) {
 	rt := New(4, zeroOv)
 	var after clock.Cycles
-	simtest.Run(t, mcfg(5), func(th *sim.Thread) {
+	simtest.Run(t, simtest.Machine(5), func(th *sim.Thread) {
 		rt.ParallelFor(th, 4, SchedStatic1, func(w *sim.Thread, i int) {
 			w.Work(clock.Cycles(10_000 * (i + 1))) // slowest: 40k
 		})
@@ -115,7 +115,7 @@ func TestGuidedChunkCount(t *testing.T) {
 	const n = 100
 	run := func(sched Sched) clock.Cycles {
 		rt := New(1, Overheads{Dispatch: 1_000})
-		end, _ := simtest.Run(t, mcfg(1), func(th *sim.Thread) {
+		end, _ := simtest.Run(t, simtest.Machine(1), func(th *sim.Thread) {
 			rt.ParallelFor(th, n, sched, func(w *sim.Thread, i int) {
 				w.Work(1)
 			})
@@ -140,7 +140,7 @@ func TestGuidedChunkCount(t *testing.T) {
 func TestCriticalOverheadCharged(t *testing.T) {
 	ov := Overheads{LockEnter: 300, LockExit: 200}
 	rt := New(1, ov)
-	end, _ := simtest.Run(t, mcfg(1), func(th *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(1), func(th *sim.Thread) {
 		rt.ParallelFor(th, 2, SchedStatic, func(w *sim.Thread, i int) {
 			rt.Critical(w, 5, func() { w.Work(1_000) })
 		})

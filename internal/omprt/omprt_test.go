@@ -11,14 +11,10 @@ import (
 // zeroOv removes all runtime overheads so tests can assert exact makespans.
 var zeroOv = Overheads{}
 
-func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
-
 // runFor executes one parallel-for on a fresh machine and returns makespan.
 func runFor(tb testing.TB, cores, threads, n int, sched Sched, iter func(i int) clock.Cycles) clock.Cycles {
 	rt := New(threads, zeroOv)
-	end, _ := simtest.Run(tb, mcfg(cores), func(t *sim.Thread) {
+	end, _ := simtest.Run(tb, simtest.Machine(cores), func(t *sim.Thread) {
 		rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 			w.Work(iter(i))
 		})
@@ -46,7 +42,7 @@ func TestAllIterationsRunExactlyOnce(t *testing.T) {
 		n := 97
 		seen := make([]int, n)
 		rt := New(4, zeroOv)
-		simtest.Run(t, mcfg(4), func(t *sim.Thread) {
+		simtest.Run(t, simtest.Machine(4), func(t *sim.Thread) {
 			rt.ParallelFor(t, n, sched, func(w *sim.Thread, i int) {
 				seen[i]++
 				w.Work(10)
@@ -127,7 +123,7 @@ func TestSingleThreadRuntime(t *testing.T) {
 func TestForkJoinOverheadsCharged(t *testing.T) {
 	ov := Overheads{ForkPerThread: 1000, JoinBarrier: 2000, WorkerInit: 100}
 	rt := New(4, ov)
-	end, _ := simtest.Run(t, mcfg(4), func(t *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(4), func(t *sim.Thread) {
 		rt.ParallelFor(t, 4, SchedStatic, func(w *sim.Thread, i int) {
 			w.Work(10_000)
 		})
@@ -138,7 +134,7 @@ func TestForkJoinOverheadsCharged(t *testing.T) {
 		t.Fatalf("makespan = %d, want >= 15100 with overheads", end)
 	}
 	rt0 := New(4, zeroOv)
-	end0, _ := simtest.Run(t, mcfg(4), func(t *sim.Thread) {
+	end0, _ := simtest.Run(t, simtest.Machine(4), func(t *sim.Thread) {
 		rt0.ParallelFor(t, 4, SchedStatic, func(w *sim.Thread, i int) {
 			w.Work(10_000)
 		})
@@ -151,7 +147,7 @@ func TestForkJoinOverheadsCharged(t *testing.T) {
 func TestDispatchOverheadPerChunk(t *testing.T) {
 	ov := Overheads{Dispatch: 500}
 	rt := New(1, ov)
-	end, _ := simtest.Run(t, mcfg(1), func(t *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(1), func(t *sim.Thread) {
 		rt.ParallelFor(t, 10, SchedDynamic1, func(w *sim.Thread, i int) {
 			w.Work(100)
 		})
@@ -165,7 +161,7 @@ func TestDispatchOverheadPerChunk(t *testing.T) {
 func TestCriticalSerializes(t *testing.T) {
 	rt := New(4, zeroOv)
 	var inCS, maxCS int
-	end, _ := simtest.Run(t, mcfg(4), func(t *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(4), func(t *sim.Thread) {
 		rt.ParallelFor(t, 4, SchedStatic1, func(w *sim.Thread, i int) {
 			rt.Critical(w, 1, func() {
 				inCS++
@@ -192,7 +188,7 @@ func TestNestedParallelOversubscribes(t *testing.T) {
 	// nesting should land within ~25% of that, NOT serialize to 120000.
 	rtOuter := New(2, zeroOv)
 	rtInner := New(2, zeroOv)
-	end, _ := simtest.Run(t, mcfg(2), func(t *sim.Thread) {
+	end, _ := simtest.Run(t, simtest.Machine(2), func(t *sim.Thread) {
 		rtOuter.ParallelFor(t, 2, SchedStatic1, func(w *sim.Thread, i int) {
 			rtInner.ParallelFor(w, 2, SchedStatic1, func(w2 *sim.Thread, j int) {
 				w2.Work(30_000)

@@ -9,10 +9,6 @@ import (
 	"prophet/internal/tree"
 )
 
-func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
-
 // pipe builds a pipeline section of n iterations with the given stage
 // lengths per iteration.
 func pipe(n int, stages ...clock.Cycles) *tree.Node {
@@ -31,7 +27,7 @@ func pipe(n int, stages ...clock.Cycles) *tree.Node {
 
 // run executes the section with a plain Work exec and returns the makespan.
 func run(tb testing.TB, sec *tree.Node, cores, threads int) clock.Cycles {
-	end, _ := simtest.Run(tb, mcfg(cores), func(main *sim.Thread) {
+	end, _ := simtest.Run(tb, simtest.Machine(cores), func(main *sim.Thread) {
 		Run(main, sec, threads, func(w *sim.Thread, seg *tree.Node) {
 			w.Work(seg.Len)
 		})
@@ -99,7 +95,7 @@ func TestDependenciesRespected(t *testing.T) {
 	}
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
-	simtest.Run(t, mcfg(4), func(main *sim.Thread) {
+	simtest.Run(t, simtest.Machine(4), func(main *sim.Thread) {
 		Run(main, sec, 2, func(w *sim.Thread, seg *tree.Node) {
 			w.Work(seg.Len)
 			done[idx[seg]] = w.Now()

@@ -8,14 +8,10 @@ import (
 	"prophet/internal/cilkrt"
 	"prophet/internal/clock"
 	"prophet/internal/omprt"
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/synth"
 	"prophet/internal/tree"
 )
-
-func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
 
 var zeroOmp = &omprt.Overheads{}
 
@@ -52,7 +48,7 @@ func balanced(n int, l clock.Cycles) *tree.Node {
 func TestBalancedSpeedup(t *testing.T) {
 	root := balanced(24, 60_000)
 	for _, p := range []int{1, 2, 4, 8, 12} {
-		s := speedup(t, root, Config{Machine: mcfg(12), Threads: p, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+		s := speedup(t, root, Config{Machine: simtest.Machine(12), Threads: p, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 		if math.Abs(s-float64(p)) > 0.05*float64(p) {
 			t.Errorf("p=%d speedup = %.2f", p, s)
 		}
@@ -64,7 +60,7 @@ func TestSerialPartsLimitSpeedup(t *testing.T) {
 		tree.NewU(120_000),
 		balanced(12, 10_000).Children[0],
 	)
-	s := speedup(t, root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s := speedup(t, root, Config{Machine: simtest.Machine(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 	want := 240_000.0 / 130_000.0
 	if math.Abs(s-want) > 0.1 {
 		t.Fatalf("speedup = %.2f, want ~%.2f", s, want)
@@ -82,8 +78,8 @@ func TestMemoryBoundSectionSaturates(t *testing.T) {
 		tasks[i] = tree.NewTask("t", u)
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s12 := speedup(t, root, Config{Machine: mcfg(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
-	s2 := speedup(t, root, Config{Machine: mcfg(12), Threads: 2, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s12 := speedup(t, root, Config{Machine: simtest.Machine(12), Threads: 12, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
+	s2 := speedup(t, root, Config{Machine: simtest.Machine(12), Threads: 2, Sched: omprt.SchedStatic, OmpOv: zeroOmp})
 	if s2 < 1.8 {
 		t.Fatalf("2-thread memory speedup = %.2f, want ~2 (below saturation)", s2)
 	}
@@ -111,7 +107,7 @@ func TestFigure7RealIsTwo(t *testing.T) {
 		tree.NewTask("t0", la),
 		tree.NewTask("t1", lb),
 	))
-	s := speedup(t, root, Config{Machine: mcfg(2), Threads: 2, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
+	s := speedup(t, root, Config{Machine: simtest.Machine(2), Threads: 2, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
 	if s < 1.85 || s > 2.05 {
 		t.Fatalf("real nested speedup = %.3f, want ~2.0", s)
 	}
@@ -119,7 +115,7 @@ func TestFigure7RealIsTwo(t *testing.T) {
 
 func TestCilkParadigm(t *testing.T) {
 	root := balanced(32, 50_000)
-	s := speedup(t, root, Config{Machine: mcfg(8), Threads: 8, Paradigm: synth.Cilk})
+	s := speedup(t, root, Config{Machine: simtest.Machine(8), Threads: 8, Paradigm: synth.Cilk})
 	if s < 6.5 || s > 8.1 {
 		t.Fatalf("cilk speedup = %.2f, want ~8", s)
 	}
@@ -131,7 +127,7 @@ func TestLockedTreeSerializes(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewL(1, 50_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	s := speedup(t, root, Config{Machine: mcfg(8), Threads: 8, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
+	s := speedup(t, root, Config{Machine: simtest.Machine(8), Threads: 8, Sched: omprt.SchedStatic1, OmpOv: zeroOmp})
 	if s > 1.05 {
 		t.Fatalf("locked speedup = %.2f, want ~1", s)
 	}
@@ -142,7 +138,7 @@ func TestCompressedTreeRunsIdentically(t *testing.T) {
 	ct := tree.NewTask("t", tree.NewU(20_000))
 	ct.Repeat = 64
 	compressed := tree.NewRoot(tree.NewSec("s", ct))
-	cfg := Config{Machine: mcfg(4), Threads: 4, Sched: omprt.SchedDynamic1, OmpOv: zeroOmp}
+	cfg := Config{Machine: simtest.Machine(4), Threads: 4, Sched: omprt.SchedDynamic1, OmpOv: zeroOmp}
 	a := runTime(t, expanded, cfg)
 	b := runTime(t, compressed, cfg)
 	if a != b {
@@ -151,7 +147,7 @@ func TestCompressedTreeRunsIdentically(t *testing.T) {
 }
 
 func TestSpeedupDegenerate(t *testing.T) {
-	if got := speedup(t, tree.NewRoot(), Config{Machine: mcfg(2), Threads: 2}); got != 1 {
+	if got := speedup(t, tree.NewRoot(), Config{Machine: simtest.Machine(2), Threads: 2}); got != 1 {
 		t.Fatalf("empty tree speedup = %g", got)
 	}
 }
@@ -165,7 +161,7 @@ func TestNestedCilkSections(t *testing.T) {
 		tree.NewTask("t", inner, tree.NewU(10_000)),
 		tree.NewTask("u", tree.NewU(50_000)),
 	))
-	s := speedup(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk})
+	s := speedup(t, root, Config{Machine: simtest.Machine(4), Threads: 4, Paradigm: synth.Cilk})
 	if s < 1.5 || s > 3.0 {
 		t.Fatalf("nested cilk speedup = %.2f", s)
 	}
@@ -177,7 +173,7 @@ func TestCilkLockedSegments(t *testing.T) {
 		tasks[i] = tree.NewTask("t", tree.NewL(2, 30_000))
 	}
 	root := tree.NewRoot(tree.NewSec("s", tasks...))
-	end := runTime(t, root, Config{Machine: mcfg(6), Threads: 6, Paradigm: synth.Cilk})
+	end := runTime(t, root, Config{Machine: simtest.Machine(6), Threads: 6, Paradigm: synth.Cilk})
 	if end < 180_000 {
 		t.Fatalf("cilk locked sections overlapped: %d", end)
 	}
@@ -191,7 +187,7 @@ func TestPipelineSectionGroundTruth(t *testing.T) {
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
-	end := runTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
+	end := runTime(t, root, Config{Machine: simtest.Machine(2), Threads: 2, OmpOv: zeroOmp})
 	// Two balanced stages on two workers: ~17 stage-times.
 	if end < 160_000 || end > 180_000 {
 		t.Fatalf("pipeline ground truth = %d, want ~170000", end)
@@ -206,7 +202,7 @@ func TestPipelineWithLockedStage(t *testing.T) {
 	sec := tree.NewSec("pipe", tasks...)
 	sec.Pipeline = true
 	root := tree.NewRoot(sec)
-	end := runTime(t, root, Config{Machine: mcfg(2), Threads: 2, OmpOv: zeroOmp})
+	end := runTime(t, root, Config{Machine: simtest.Machine(2), Threads: 2, OmpOv: zeroOmp})
 	if end <= 0 || end > 8*10_000+10_000 {
 		t.Fatalf("locked pipeline = %d", end)
 	}
@@ -217,21 +213,21 @@ func TestConfigOverrides(t *testing.T) {
 	root := balanced(8, 10_000)
 	slowOv := omprt.DefaultOverheads()
 	slowOv.ForkPerThread = 100_000
-	fast := runTime(t, root, Config{Machine: mcfg(4), Threads: 4, OmpOv: zeroOmp})
-	slow := runTime(t, root, Config{Machine: mcfg(4), Threads: 4, OmpOv: &slowOv})
+	fast := runTime(t, root, Config{Machine: simtest.Machine(4), Threads: 4, OmpOv: zeroOmp})
+	slow := runTime(t, root, Config{Machine: simtest.Machine(4), Threads: 4, OmpOv: &slowOv})
 	if slow <= fast {
 		t.Fatalf("custom overheads ignored: %d vs %d", slow, fast)
 	}
 	// Nil overheads select calibrated defaults (non-zero).
-	def := runTime(t, root, Config{Machine: mcfg(4), Threads: 4})
+	def := runTime(t, root, Config{Machine: simtest.Machine(4), Threads: 4})
 	if def <= fast {
 		t.Fatalf("default overheads missing: %d vs %d", def, fast)
 	}
 	// Cilk custom overheads.
 	co := cilkrt.DefaultOverheads()
 	co.StealScan = 50_000
-	slowCilk := runTime(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &co})
-	fastCilk := runTime(t, root, Config{Machine: mcfg(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}})
+	slowCilk := runTime(t, root, Config{Machine: simtest.Machine(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &co})
+	fastCilk := runTime(t, root, Config{Machine: simtest.Machine(4), Threads: 4, Paradigm: synth.Cilk, CilkOv: &cilkrt.Overheads{}})
 	if slowCilk <= fastCilk {
 		t.Fatalf("cilk overheads ignored: %d vs %d", slowCilk, fastCilk)
 	}
@@ -239,7 +235,7 @@ func TestConfigOverrides(t *testing.T) {
 
 func TestThreadsDefaultToOne(t *testing.T) {
 	root := balanced(4, 10_000)
-	end := runTime(t, root, Config{Machine: mcfg(4), OmpOv: zeroOmp}) // Threads: 0
+	end := runTime(t, root, Config{Machine: simtest.Machine(4), OmpOv: zeroOmp}) // Threads: 0
 	if end != 40_000 {
 		t.Fatalf("unspecified threads = %d, want serial 40000", end)
 	}

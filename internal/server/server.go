@@ -586,7 +586,7 @@ func defaultThreads(req prophet.Request) int {
 			return spec.Cores()
 		}
 	}
-	return prophet.DefaultMachine().Normalized().Cores
+	return prophet.DefaultMachineSpec().Cores()
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {

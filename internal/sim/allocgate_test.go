@@ -19,7 +19,7 @@ import (
 // Excluded under the race detector, which instruments allocations and
 // channel operations enough to perturb the count.
 func TestSimStepZeroAlloc(t *testing.T) {
-	cfg := Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	cfg := Config{Spec: shapeSpec(4, 10_000, 0)}
 	run := func(steps int) {
 		_, _, err := RunOpt(cfg, RunOpts{}, func(m *Thread) {
 			ws := make([]*Thread, 0, 8)
@@ -63,7 +63,7 @@ func TestSimSpecStepZeroAlloc(t *testing.T) {
 		CoreGroups: []machine.CoreGroup{{Count: 2, Speed: 1}, {Count: 2, Speed: 0.5}},
 		Quantum:    10_000,
 		// ContextSwitch 0 in a spec is literal (free switches), matching
-		// the flat gate's ContextSwitch: -1.
+		// the TestSimStepZeroAlloc machine.
 		ContextSwitch: 0,
 		LLC:           machine.LLCSpec{SizeBytes: 12 << 20, Ways: 16, LineBytes: 64},
 		DRAM:          machine.DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75},

@@ -52,39 +52,16 @@ import (
 	"prophet/internal/obs"
 )
 
-// Config describes the simulated machine.
-//
-// The machine itself is described by Spec; the Cores/Quantum/
-// ContextSwitch/DRAM knobs are the legacy flat form, kept working as a
-// thin wrapper (zero values fall back to the paper-machine defaults,
-// exactly as before specs existed). When Spec is set it is the single
-// source of machine truth and the flat knobs are derived from it — with
-// one exception: ContextSwitch < 0 still disables the switch cost, the
-// run-mode override calibration and exact-makespan tests rely on.
-// MaxEvents and MaxVirtualTime are run budgets, not machine properties,
-// and always come from the Config.
+// Config describes one machine run: the machine itself (Spec) and the
+// run's watchdog budgets, which are not machine properties.
 type Config struct {
-	// Spec, when non-nil, is the validated machine specification
-	// (immutable; use machine.ParseSpec or the registry presets). It
-	// defines the core layout — including per-group speed ratios for
-	// asymmetric machines — the scheduling quantum, the context-switch
-	// cost, and the DRAM model including an optional second bandwidth
-	// domain.
+	// Spec is the validated, immutable machine specification (use
+	// machine.ParseSpec or the registry presets): the core layout
+	// including per-group speed ratios, the scheduling quantum, the
+	// context-switch cost, and the DRAM model including an optional
+	// second bandwidth domain. Nil means machine.Default(), the paper
+	// machine.
 	Spec *machine.Spec
-	// Cores is the number of processors (default 12, the paper machine).
-	// Ignored when Spec is set.
-	Cores int
-	// Quantum is the OS scheduling time slice in cycles (default 50k).
-	// Ignored when Spec is set.
-	Quantum clock.Cycles
-	// ContextSwitch is the overhead added when a core switches between
-	// threads. Zero selects the default (1000 cycles); a negative value
-	// disables the cost entirely (used by tests that assert exact
-	// makespans, and honoured even when Spec is set).
-	ContextSwitch clock.Cycles
-	// DRAM configures the memory system (defaults from mem.DefaultDRAM).
-	// Ignored when Spec is set.
-	DRAM mem.DRAMConfig
 	// MaxEvents is the watchdog budget on processed simulator events;
 	// a run that exceeds it fails with *BudgetError instead of spinning
 	// forever on a livelocked or runaway workload. Zero means unlimited.
@@ -94,47 +71,12 @@ type Config struct {
 	MaxVirtualTime clock.Cycles
 }
 
-// DefaultConfig returns the paper-machine configuration: 12 cores, 50k-cycle
-// quantum, Westmere-class DRAM.
-func DefaultConfig() Config {
-	return Config{Cores: 12, Quantum: 50_000, ContextSwitch: 1_000, DRAM: mem.DefaultDRAM()}
-}
-
-// Normalized returns the configuration with all defaults applied — the
-// exact values a machine built from c would use.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if s := c.Spec; s != nil {
-		// The spec is the source of truth: derive the flat knobs from it
-		// verbatim (specs are validated, never rewritten). Only the
-		// ContextSwitch < 0 run-mode override survives.
-		c.Cores = s.Cores()
-		c.Quantum = s.Quantum
-		if c.ContextSwitch < 0 {
-			c.ContextSwitch = 0
-		} else {
-			c.ContextSwitch = s.ContextSwitch
-		}
-		c.DRAM = mem.ConfigFromSpec(s.DRAM)
-		return c
+// Normalized returns the configuration with its machine resolved: a nil
+// Spec becomes machine.Default().
+func (c Config) Normalized() Config {
+	if c.Spec == nil {
+		c.Spec = machine.Default()
 	}
-	d := DefaultConfig()
-	if c.Cores <= 0 {
-		c.Cores = d.Cores
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = d.Quantum
-	}
-	switch {
-	case c.ContextSwitch == 0:
-		c.ContextSwitch = d.ContextSwitch
-	case c.ContextSwitch < 0:
-		c.ContextSwitch = 0
-	}
-	// Normalize the DRAM config the same way the model itself would, so
-	// the engine's timing math sees the defaulted values.
-	c.DRAM = mem.NewDRAM(c.DRAM).Config()
 	return c
 }
 
@@ -263,7 +205,7 @@ type coreState struct {
 	quantumLeft clock.Cycles
 	lastThread  *Thread
 	// speed is the core's clock ratio from the machine spec (1 on
-	// homogeneous machines, which take the exact legacy timing path).
+	// homogeneous machines, which take the unscaled timing path).
 	speed float64
 	// dom is the core's DRAM bandwidth domain (0 unless the spec has a
 	// second domain).
@@ -291,7 +233,13 @@ const (
 
 // Machine is the simulated multicore machine.
 type Machine struct {
-	cfg   Config
+	cfg Config
+	// Per-run value copies of the spec fields the hot path reads, so
+	// scheduling a slice never dereferences the shared spec.
+	quantum       clock.Cycles
+	contextSwitch clock.Cycles
+	dramSpec      machine.DRAMSpec
+
 	ctx   context.Context
 	dram  *mem.DRAM
 	now   clock.Cycles
@@ -352,74 +300,48 @@ type Machine struct {
 
 // New creates a machine. Most callers use RunOpt instead.
 func New(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
 	m := &Machine{
-		cfg:   cfg,
-		ctx:   context.Background(),
-		dram:  mem.NewDRAM(cfg.DRAM),
-		cores: make([]coreState, cfg.Cores),
+		dram:  &mem.DRAM{},
 		locks: make(map[int]*lockState),
 		done:  make(chan struct{}, 1),
 	}
-	if cfg.Spec != nil {
-		m.dram.ResetSpec(cfg.Spec.DRAM)
-	}
-	for i := range m.cores {
-		m.cores[i].quantumLeft = cfg.Quantum
-	}
-	m.applyCoreSpec(cfg.Spec)
+	m.reset(cfg)
 	return m
 }
 
-// applyCoreSpec stamps each core's speed ratio and DRAM bandwidth domain
-// from the spec. A nil spec (legacy flat config) is a homogeneous
-// single-domain machine: every core at speed 1 on domain 0, the exact
-// pre-spec timing path.
-func (m *Machine) applyCoreSpec(spec *machine.Spec) {
-	dom2 := 0
-	if spec != nil && spec.DRAM.SecondDomain != nil {
-		dom2 = spec.DRAM.SecondDomain.Cores
-	}
-	n := len(m.cores)
-	for i := range m.cores {
-		c := &m.cores[i]
-		c.speed = 1
-		if spec != nil {
-			c.speed = spec.SpeedOf(i)
-		}
-		c.dom = 0
-		if dom2 > 0 && i >= n-dom2 {
-			c.dom = 1
-		}
-	}
-}
-
-// reset prepares a pooled machine for a fresh run. Heap, core, ready and
-// thread storage (including the per-thread semaphore channels) is retained,
-// so a warmed machine starts a run with near-zero allocation.
+// reset prepares a machine for a fresh run on cfg's machine. Heap, core,
+// ready and thread storage (including the per-thread semaphore channels)
+// is retained, so a warmed pooled machine starts a run with near-zero
+// allocation. Each core's speed ratio and DRAM bandwidth domain are
+// re-derived from the spec, so a pooled machine carries nothing over
+// from the spec of its previous run.
 func (m *Machine) reset(cfg Config) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
+	spec := cfg.Spec
 	m.cfg = cfg
+	m.quantum = spec.Quantum
+	m.contextSwitch = spec.ContextSwitch
+	m.dramSpec = spec.DRAM
 	m.ctx = context.Background()
-	// The reset is keyed on the spec: a pooled machine re-derives its
-	// DRAM domains and per-core speeds from whatever spec (or legacy
-	// flat config) the next run carries, reusing all storage.
-	if cfg.Spec != nil {
-		m.dram.ResetSpec(cfg.Spec.DRAM)
-	} else {
-		m.dram.Reset(cfg.DRAM)
-	}
+	m.dram.Reset(spec.DRAM)
 	m.now = 0
 	m.ready = m.ready[:0]
-	if cap(m.cores) >= cfg.Cores {
-		m.cores = m.cores[:cfg.Cores]
+	n := spec.Cores()
+	if cap(m.cores) >= n {
+		m.cores = m.cores[:n]
 	} else {
-		m.cores = make([]coreState, cfg.Cores)
+		m.cores = make([]coreState, n)
+	}
+	dom2 := 0
+	if d := spec.DRAM.SecondDomain; d != nil {
+		dom2 = d.Cores
 	}
 	for i := range m.cores {
-		m.cores[i] = coreState{quantumLeft: cfg.Quantum}
+		m.cores[i] = coreState{quantumLeft: spec.Quantum, speed: spec.SpeedOf(i)}
+		if i >= n-dom2 {
+			m.cores[i].dom = 1
+		}
 	}
-	m.applyCoreSpec(cfg.Spec)
 	m.events.Reset()
 	m.seq = 0
 	m.live = 0
@@ -477,7 +399,7 @@ func (m *Machine) run() (clock.Cycles, Stats, error) {
 	return m.end, m.stats, m.err
 }
 
-// Config returns the (defaulted) machine configuration.
+// Config returns the run configuration, its Spec resolved.
 func (m *Machine) Config() Config { return m.cfg }
 
 // Time returns the machine's current virtual time.
@@ -713,7 +635,7 @@ func (m *Machine) anyRunnable() bool {
 // quantumFor yields the scheduling quantum for a fresh slice on core i,
 // applying the fault-injection jitter hook when installed.
 func (m *Machine) quantumFor(i int) clock.Cycles {
-	q := m.cfg.Quantum
+	q := m.quantum
 	if m.faults != nil && m.faults.Quantum != nil {
 		if jq := m.faults.Quantum(i, q); jq > 0 {
 			q = jq
@@ -737,7 +659,7 @@ func (m *Machine) startOn(i int, t *Thread) *Thread {
 	t.now = m.now
 	var overhead clock.Cycles
 	if c.lastThread != t && c.lastThread != nil {
-		overhead = m.cfg.ContextSwitch
+		overhead = m.contextSwitch
 	}
 	c.lastThread = t
 	if t.instrLeft > 0 || t.missesLeft > 0 {
@@ -760,8 +682,8 @@ func (m *Machine) startSlice(i int, overhead clock.Cycles) {
 	t := c.running
 	if c.speed != 1 {
 		// Asymmetric machines take a separate path so the speed-1 math
-		// below stays literally the pre-spec code (byte-identical
-		// timing on every homogeneous machine, westmere12 included).
+		// below stays unscaled (byte-identical timing on every
+		// homogeneous machine, westmere12 included).
 		m.startSliceScaled(i, overhead)
 		return
 	}
@@ -770,13 +692,13 @@ func (m *Machine) startSlice(i int, overhead clock.Cycles) {
 		if m.demandOK && t.instrLeft == m.demandInstr && t.missesLeft == m.demandMisses {
 			t.demand = m.demandVal
 		} else {
-			t.demand = m.cfg.DRAM.UnconstrainedDemand(t.instrLeft, t.missesLeft)
+			t.demand = mem.UnconstrainedDemand(m.dramSpec, t.instrLeft, t.missesLeft)
 			m.demandInstr, m.demandMisses, m.demandVal, m.demandOK = t.instrLeft, t.missesLeft, t.demand, true
 		}
 		m.dram.RegisterDom(int(c.dom), t.demand)
 		stretch = m.dram.StretchDom(int(c.dom))
 	}
-	total := t.instrLeft + t.missesLeft*m.cfg.DRAM.UnloadedLatency*stretch
+	total := t.instrLeft + t.missesLeft*m.dramSpec.UnloadedLatency*stretch
 	dur := clock.Cycles(total + 0.5)
 	if dur < 1 {
 		dur = 1
@@ -803,11 +725,11 @@ func (m *Machine) startSliceScaled(i int, overhead clock.Cycles) {
 	sp := c.speed
 	stretch := 1.0
 	if t.missesLeft > 0 {
-		t.demand = m.cfg.DRAM.UnconstrainedDemand(t.instrLeft/sp, t.missesLeft)
+		t.demand = mem.UnconstrainedDemand(m.dramSpec, t.instrLeft/sp, t.missesLeft)
 		m.dram.RegisterDom(int(c.dom), t.demand)
 		stretch = m.dram.StretchDom(int(c.dom))
 	}
-	total := t.instrLeft/sp + t.missesLeft*m.cfg.DRAM.UnloadedLatency*stretch
+	total := t.instrLeft/sp + t.missesLeft*m.dramSpec.UnloadedLatency*stretch
 	dur := clock.Cycles(total + 0.5)
 	if dur < 1 {
 		dur = 1

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"prophet/internal/clock"
+	"prophet/internal/machine"
 )
 
 // TestWorkMemSplitsAcrossQuanta: a memory segment longer than the quantum
 // must be chunked, with contention re-evaluated per chunk — total misses
 // are conserved either way.
 func TestWorkMemSplitsAcrossQuanta(t *testing.T) {
-	c := cfg(1)
-	c.Quantum = 1_000 // tiny quantum: many chunks
+	c := Config{Spec: shapeSpec(1, 1_000, 0)} // tiny quantum: many chunks
 	end, st := run(t, c, func(th *Thread) {
 		th.WorkMem(10_000, 500)
 	})
@@ -84,8 +84,7 @@ func TestStatsFields(t *testing.T) {
 
 // TestQuantumRefreshWithoutWaiters: a lone thread must not be preempted.
 func TestQuantumRefreshWithoutWaiters(t *testing.T) {
-	c := cfg(1)
-	c.Quantum = 100
+	c := Config{Spec: shapeSpec(1, 100, 0)}
 	_, st := run(t, c, func(th *Thread) { th.Work(1_000_000) })
 	if st.Preemptions != 0 {
 		t.Fatalf("lone thread preempted %d times", st.Preemptions)
@@ -183,15 +182,16 @@ func TestManyLocksIndependent(t *testing.T) {
 	}
 }
 
-// TestNormalizedConfig exposes the defaulted view used by callers.
+// TestNormalizedConfig: Normalized resolves a nil spec to the paper
+// machine and leaves an explicit spec and the run budgets alone.
 func TestNormalizedConfig(t *testing.T) {
-	n := (Config{}).Normalized()
-	if n.Cores != 12 || n.Quantum != 50_000 || n.DRAM.UnloadedLatency != 40 {
+	n := (Config{MaxEvents: 7}).Normalized()
+	if n.Spec != machine.Default() || n.MaxEvents != 7 {
 		t.Fatalf("normalized = %+v", n)
 	}
-	n2 := (Config{ContextSwitch: -1}).Normalized()
-	if n2.ContextSwitch != 0 {
-		t.Fatalf("negative context switch not zeroed: %+v", n2)
+	s := shapeSpec(3, 10_000, 0)
+	if n2 := (Config{Spec: s}).Normalized(); n2.Spec != s {
+		t.Fatalf("explicit spec replaced: %v", n2.Spec)
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"prophet/internal/clock"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 )
 
 // cfg returns a test machine: cores as given, no context-switch cost so
 // makespans are exact, quantum 10k cycles.
 func cfg(cores int) Config {
-	return Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1, DRAM: mem.DefaultDRAM()}
+	return Config{Spec: shapeSpec(cores, 10_000, 0)}
 }
 
 // run executes main as thread 0 of a machine with configuration c and
@@ -469,7 +469,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestContextSwitchCost(t *testing.T) {
-	c := Config{Cores: 1, Quantum: 10_000, ContextSwitch: 500}
+	c := Config{Spec: shapeSpec(1, 10_000, 500)}
 	end, _ := run(t, c, func(th *Thread) {
 		w := th.Spawn(func(w *Thread) { w.Work(10_000) })
 		th.Work(10_000)
@@ -483,9 +483,11 @@ func TestContextSwitchCost(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	m := New(Config{})
-	c := m.Config()
-	if c.Cores != 12 || c.Quantum != 50_000 || c.ContextSwitch != 1_000 {
-		t.Fatalf("defaults not applied: %+v", c)
+	if s := m.Config().Spec; s != machine.Default() {
+		t.Fatalf("nil spec resolved to %v, want %s", s, machine.DefaultName)
+	}
+	if len(m.cores) != 12 || m.quantum != 50_000 || m.contextSwitch != 1_000 {
+		t.Fatalf("defaults not applied: %d cores, quantum %d, switch %d", len(m.cores), m.quantum, m.contextSwitch)
 	}
 	if m.Time() != 0 {
 		t.Fatalf("fresh machine time = %d", m.Time())

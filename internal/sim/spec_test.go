@@ -5,11 +5,25 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/machine"
-	"prophet/internal/mem"
 )
 
-// specFor builds a validated homogeneous spec mirroring the flat config
-// the legacy tests use.
+// shapeSpec is the paper machine with its core count, quantum and
+// context-switch cost replaced: simtest.Spec for this package's internal
+// tests, which cannot import simtest.
+func shapeSpec(cores int, quantum, contextSwitch clock.Cycles) *machine.Spec {
+	s := *machine.Default()
+	s.Name = "t-shape"
+	s.CoreGroups = []machine.CoreGroup{{Count: cores, Speed: 1}}
+	s.Quantum = quantum
+	s.ContextSwitch = contextSwitch
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
+	return &s
+}
+
+// specFor builds a validated spec with the paper machine's quantum,
+// switch cost and LLC around the given cores and DRAM.
 func specFor(t *testing.T, name string, groups []machine.CoreGroup, dram machine.DRAMSpec) *machine.Spec {
 	t.Helper()
 	s := &machine.Spec{
@@ -48,58 +62,15 @@ func memWorkload(n int) func(*Thread) {
 	}
 }
 
-// TestSpecVsFlatConfigIdentity is the wrapper-vs-spec contract: a run
-// against Config{Spec: westmere12} must be byte-identical (makespan and
-// every stat) to the same run against the legacy flat default config —
-// the flat knobs are now a wrapper over the spec, not a second truth.
-func TestSpecVsFlatConfigIdentity(t *testing.T) {
-	flat := Config{} // all defaults: the historical paper machine
-	spec := Config{Spec: machine.Default()}
-
-	fe, fs, err := RunOpt(flat, RunOpts{}, memWorkload(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, ss, err := RunOpt(spec, RunOpts{}, memWorkload(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fe != se {
-		t.Errorf("makespan differs: flat %d vs spec %d", fe, se)
-	}
-	if fs != ss {
-		t.Errorf("stats differ: flat %+v vs spec %+v", fs, ss)
-	}
-
-	// The normalized views agree on every derived knob.
-	nf, ns := flat.Normalized(), spec.Normalized()
-	if nf.Cores != ns.Cores || nf.Quantum != ns.Quantum || nf.ContextSwitch != ns.ContextSwitch || nf.DRAM != ns.DRAM {
-		t.Errorf("Normalized differs: flat %+v vs spec %+v", nf, ns)
-	}
-}
-
 // TestSpecContextSwitchZeroNotRewritten: a spec with ContextSwitch 0
-// means genuinely free switches — unlike the legacy flat config, where 0
-// selects the 1000-cycle default. This is the default-coupling fix: spec
-// fields are never silently rewritten.
+// means genuinely free switches; the spec is never silently rewritten.
 func TestSpecContextSwitchZeroNotRewritten(t *testing.T) {
-	s := specFor(t, "t-freecs",
-		[]machine.CoreGroup{{Count: 2, Speed: 1}},
-		machine.DRAMSpec{UnloadedLatency: 40, BandwidthBytesPerCycle: 8, Knee: 0.75})
-	s.ContextSwitch = 0
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	s := shapeSpec(2, 10_000, 0)
+	if n := (Config{Spec: s}).Normalized(); n.Spec != s || n.Spec.ContextSwitch != 0 {
+		t.Fatalf("spec ContextSwitch 0 normalized to %v, want the same spec", n.Spec)
 	}
-	n := Config{Spec: s}.Normalized()
-	if n.ContextSwitch != 0 {
-		t.Fatalf("spec ContextSwitch 0 normalized to %d, want 0 (not rewritten)", n.ContextSwitch)
-	}
-	if legacy := (Config{}).Normalized(); legacy.ContextSwitch != 1_000 {
-		t.Fatalf("legacy zero ContextSwitch = %d, want the 1000-cycle default", legacy.ContextSwitch)
-	}
-	// And the run-mode override still works on top of a spec.
-	if n := (Config{Spec: machine.Default(), ContextSwitch: -1}).Normalized(); n.ContextSwitch != 0 {
-		t.Fatalf("ContextSwitch -1 with spec = %d, want 0 (disabled)", n.ContextSwitch)
+	if m := New(Config{Spec: s}); m.contextSwitch != 0 {
+		t.Fatalf("machine switch cost = %d, want 0", m.contextSwitch)
 	}
 }
 
@@ -224,7 +195,7 @@ func TestSpecPooledReset(t *testing.T) {
 		if _, _, err := RunOpt(Config{Spec: machine.Default()}, RunOpts{}, memWorkload(8)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := RunOpt(Config{Cores: 3, DRAM: mem.DefaultDRAM()}, RunOpts{}, memWorkload(4)); err != nil {
+		if _, _, err := RunOpt(Config{Spec: shapeSpec(3, 50_000, 1_000)}, RunOpts{}, memWorkload(4)); err != nil {
 			t.Fatal(err)
 		}
 		warmEnd, warmStats, err := RunOpt(Config{Spec: little}, RunOpts{}, memWorkload(8))

@@ -192,13 +192,10 @@ const (
 )
 
 // Vector assembles the full feature vector for one request: the cached
-// tree stats, the request scalars, and the target machine spec (nil
-// falls back to the default preset). Append order is fixed; the k-NN
-// normalizer makes the heterogeneous scales comparable.
+// tree stats, the request scalars, and the target machine spec. Append
+// order is fixed; the k-NN normalizer makes the heterogeneous scales
+// comparable.
 func Vector(ts *TreeStats, rf RequestFeatures, spec *machine.Spec) []float64 {
-	if spec == nil {
-		spec = machine.Default()
-	}
 	v := make([]float64, 0, NumFeatures)
 	// Tree block.
 	v = append(v,

@@ -279,6 +279,6 @@ func TestRefitHandlesTinyAndDuplicateStores(t *testing.T) {
 
 func ExampleStats() {
 	ts := Stats(sampleTree(), counters.Sample{Instructions: 1000, Cycles: 2000, LLCMisses: 10})
-	fmt.Println(len(Vector(&ts, RequestFeatures{Threads: 4}, nil)) == NumFeatures)
+	fmt.Println(len(Vector(&ts, RequestFeatures{Threads: 4}, machine.Default())) == NumFeatures)
 	// Output: true
 }

@@ -8,20 +8,16 @@ import (
 	"prophet/internal/clock"
 	"prophet/internal/ff"
 	"prophet/internal/omprt"
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/tree"
 )
-
-func mcfg(cores int) sim.Config {
-	return sim.Config{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
 
 // newSyn returns a synthesizer with zero runtime overheads and minimal
 // traversal cost, for exact-ish assertions.
 func newSyn(threads, cores int) *Synthesizer {
 	return &Synthesizer{
 		Threads:       threads,
-		Machine:       mcfg(cores),
+		Machine:       simtest.Machine(cores),
 		AccessNode:    1,
 		RecursiveCall: 1,
 	}
@@ -193,7 +189,7 @@ func TestTraversalOverheadSubtracted(t *testing.T) {
 	root := balancedLoop(64, 10_000)
 	heavy := &Synthesizer{
 		Threads:    4,
-		Machine:    mcfg(4),
+		Machine:    simtest.Machine(4),
 		Sched:      omprt.SchedStatic,
 		AccessNode: 5_000, // half a task per node visit
 	}

@@ -3,7 +3,7 @@ package trace
 import (
 	"testing"
 
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
@@ -11,13 +11,13 @@ import (
 // produces the same tree as the heap path, including after the arena has
 // been reset and its nodes recycled.
 func TestProfileArenaEquivalent(t *testing.T) {
-	want, _, err := Profile(figure4Program, mem.DRAMConfig{})
+	want, _, err := Profile(figure4Program, machine.Default().DRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := tree.NewArena()
 	for round := 0; round < 3; round++ {
-		got, _, err := ProfileArena(figure4Program, mem.DRAMConfig{}, a)
+		got, _, err := ProfileArena(figure4Program, machine.Default().DRAM, a)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -31,7 +31,7 @@ func TestProfileArenaEquivalent(t *testing.T) {
 // round without growing.
 func TestProfileArenaSteadyState(t *testing.T) {
 	a := tree.NewArena()
-	if _, _, err := ProfileArena(figure4Program, mem.DRAMConfig{}, a); err != nil {
+	if _, _, err := ProfileArena(figure4Program, machine.Default().DRAM, a); err != nil {
 		t.Fatal(err)
 	}
 	warm := a.Allocated()
@@ -40,7 +40,7 @@ func TestProfileArenaSteadyState(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		a.Reset()
-		if _, _, err := ProfileArena(figure4Program, mem.DRAMConfig{}, a); err != nil {
+		if _, _, err := ProfileArena(figure4Program, machine.Default().DRAM, a); err != nil {
 			t.Fatal(err)
 		}
 		if got := a.Allocated(); got != warm {
@@ -75,7 +75,7 @@ func BenchmarkProfileArena(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Reset()
-		if _, _, err := ProfileArena(figure4Program, mem.DRAMConfig{}, a); err != nil {
+		if _, _, err := ProfileArena(figure4Program, machine.Default().DRAM, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkProfileArena(b *testing.B) {
 func BenchmarkProfileHeap(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Profile(figure4Program, mem.DRAMConfig{}); err != nil {
+		if _, _, err := Profile(figure4Program, machine.Default().DRAM); err != nil {
 			b.Fatal(err)
 		}
 	}

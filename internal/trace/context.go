@@ -5,7 +5,7 @@ import (
 
 	"prophet/internal/clock"
 	"prophet/internal/counters"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
@@ -65,40 +65,27 @@ const (
 // Context and CounterSource.
 type SimProfiler struct {
 	*Tracer
-	clk  *clock.Virtual
-	dram mem.DRAMConfig
-	unit LengthUnit
+	clk *clock.Virtual
+	// latency is the DRAM's unloaded per-miss stall ω₀.
+	latency float64
+	unit    LengthUnit
 
 	instr  int64
 	misses int64
 	cycles clock.Cycles
 }
 
-// NewSimProfiler returns a profiler over a fresh virtual clock, recording
-// lengths in cycles (the paper's unit).
-func NewSimProfiler(dram mem.DRAMConfig) *SimProfiler {
-	return NewSimProfilerWithUnit(dram, LengthCycles)
-}
-
-// NewSimProfilerWithUnit selects the interval-length unit (§VI-A).
-func NewSimProfilerWithUnit(dram mem.DRAMConfig, unit LengthUnit) *SimProfiler {
-	return NewSimProfilerArena(dram, unit, nil)
-}
-
-// NewSimProfilerArena is NewSimProfilerWithUnit with program-tree nodes
-// drawn from a, for callers that profile repeatedly and discard each tree
-// (benchmarks, validation sweeps that own their samples). The returned
-// tree is valid only until a.Reset; see tree.Arena for the lifetime
-// contract. A nil arena falls back to heap allocation.
-func NewSimProfilerArena(dram mem.DRAMConfig, unit LengthUnit, a *tree.Arena) *SimProfiler {
-	p := &SimProfiler{clk: &clock.Virtual{}, dram: *applyDRAMDefaults(&dram), unit: unit}
+// NewSimProfiler returns a profiler over a fresh virtual clock for a
+// machine with the given (validated) DRAM, recording interval lengths in
+// unit (§VI-A; LengthCycles is the paper's). Program-tree nodes are drawn
+// from a, for callers that profile repeatedly and discard each tree
+// (benchmarks, validation sweeps that own their samples); the returned
+// tree is then valid only until a.Reset, see tree.Arena for the lifetime
+// contract. A nil arena allocates from the heap.
+func NewSimProfiler(dram machine.DRAMSpec, unit LengthUnit, a *tree.Arena) *SimProfiler {
+	p := &SimProfiler{clk: &clock.Virtual{}, latency: dram.UnloadedLatency, unit: unit}
 	p.Tracer = NewWithArena(p.clk, p, a)
 	return p
-}
-
-func applyDRAMDefaults(d *mem.DRAMConfig) *mem.DRAMConfig {
-	cfg := mem.NewDRAM(*d).Config()
-	return &cfg
 }
 
 // Compute advances virtual time by the serial cost of the segment and
@@ -112,7 +99,7 @@ func (p *SimProfiler) Compute(instrCycles, llcMisses int64) {
 	if llcMisses < 0 {
 		llcMisses = 0
 	}
-	d := clock.Cycles(float64(instrCycles) + float64(llcMisses)*p.dram.UnloadedLatency + 0.5)
+	d := clock.Cycles(float64(instrCycles) + float64(llcMisses)*p.latency + 0.5)
 	p.cycles += d
 	if p.unit == LengthInstructions {
 		p.clk.Advance(clock.Cycles(instrCycles))
@@ -144,15 +131,15 @@ func (p *SimProfiler) Counters() counters.Sample {
 
 // Profile runs prog under a fresh SimProfiler and returns the program tree
 // along with the profiler (whose Counters hold whole-run totals).
-func Profile(prog Program, dram mem.DRAMConfig) (*tree.Node, *SimProfiler, error) {
+func Profile(prog Program, dram machine.DRAMSpec) (*tree.Node, *SimProfiler, error) {
 	return ProfileArena(prog, dram, nil)
 }
 
 // ProfileArena is Profile with the tree allocated from a: repeated
 // profile-discard cycles (a.Reset between them) stop allocating node
 // storage once the arena is warm. The tree is only valid until a.Reset.
-func ProfileArena(prog Program, dram mem.DRAMConfig, a *tree.Arena) (*tree.Node, *SimProfiler, error) {
-	p := NewSimProfilerArena(dram, LengthCycles, a)
+func ProfileArena(prog Program, dram machine.DRAMSpec, a *tree.Arena) (*tree.Node, *SimProfiler, error) {
+	p := NewSimProfiler(dram, LengthCycles, a)
 	prog(p)
 	root, err := p.Finish()
 	return root, p, err
@@ -166,6 +153,8 @@ func ProfileArena(prog Program, dram mem.DRAMConfig, a *tree.Arena) (*tree.Node,
 type HostProfiler struct {
 	*Tracer
 	clk *clock.Host
+	// latency is the paper machine's unloaded per-miss stall ω₀.
+	latency float64
 
 	instr  int64
 	misses int64
@@ -174,7 +163,7 @@ type HostProfiler struct {
 // NewHostProfiler returns a profiler over the host monotonic clock at hz
 // nominal cycles per second (non-positive selects clock.DefaultHz).
 func NewHostProfiler(hz float64) *HostProfiler {
-	p := &HostProfiler{clk: clock.NewHost(hz)}
+	p := &HostProfiler{clk: clock.NewHost(hz), latency: machine.Default().DRAM.UnloadedLatency}
 	p.Tracer = New(p.clk, p)
 	return p
 }
@@ -182,7 +171,7 @@ func NewHostProfiler(hz float64) *HostProfiler {
 // Compute burns wall-clock time equivalent to instrCycles (+ misses at the
 // default unloaded latency) on the host.
 func (p *HostProfiler) Compute(instrCycles, llcMisses int64) {
-	total := float64(instrCycles) + float64(llcMisses)*mem.DefaultDRAM().UnloadedLatency
+	total := float64(instrCycles) + float64(llcMisses)*p.latency
 	deadline := time.Duration(total / p.clk.Hz() * float64(time.Second))
 	start := time.Now()
 	for time.Since(start) < deadline {

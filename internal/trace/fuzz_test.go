@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/tree"
 )
 
@@ -51,7 +51,7 @@ func TestTracerNeverPanicsOnRandomAnnotations(t *testing.T) {
 					t.Fatalf("trial %d panicked on ops %v: %v", trial, ops, r)
 				}
 			}()
-			p := NewSimProfiler(mem.DRAMConfig{})
+			p := NewSimProfiler(machine.Default().DRAM, LengthCycles, nil)
 			for _, op := range ops {
 				applyOp(p, op, rng)
 			}
@@ -82,7 +82,7 @@ func FuzzTracerEvents(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 3, 1})       // lock left open across task end
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		rng := rand.New(rand.NewSource(1))
-		p := NewSimProfiler(mem.DRAMConfig{})
+		p := NewSimProfiler(machine.Default().DRAM, LengthCycles, nil)
 		for _, op := range ops {
 			applyOp(p, op, rng)
 		}

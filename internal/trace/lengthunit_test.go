@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"prophet/internal/ff"
-	"prophet/internal/mem"
+	"prophet/internal/machine"
 	"prophet/internal/omprt"
 	"prophet/internal/realrun"
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/stats"
 )
 
@@ -35,10 +35,10 @@ func mixedProgram(ctx Context) {
 // wrong relative durations, so the schedule emulation mispredicts — which
 // is why the paper settled on time as the unit.
 func TestInstructionUnitMispredictsMixes(t *testing.T) {
-	mc := sim.Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	mc := simtest.Machine(4)
 
 	profileWith := func(unit LengthUnit) *SimProfiler {
-		p := NewSimProfilerWithUnit(mem.DRAMConfig{}, unit)
+		p := NewSimProfiler(machine.Default().DRAM, unit, nil)
 		mixedProgram(p)
 		return p
 	}

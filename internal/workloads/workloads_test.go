@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prophet/internal/compress"
+	"prophet/internal/machine"
 	"prophet/internal/mem"
 	"prophet/internal/trace"
 	"prophet/internal/tree"
@@ -12,7 +13,7 @@ import (
 
 func profile(t *testing.T, prog trace.Program) *tree.Node {
 	t.Helper()
-	root, _, err := trace.Profile(prog, mem.DRAMConfig{})
+	root, _, err := trace.Profile(prog, machine.Default().DRAM)
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestStreamMissesThresholdMatchesCacheSim(t *testing.T) {
 	// Cross-check the streaming threshold model against the real cache
 	// simulator: a 1 MB-working-set stream on a 64 KB cache misses every
 	// line; inside a 16 KB set it hits.
-	cfg := mem.CacheConfig{SizeBytes: 1 << 16, Ways: 8, LineBytes: 64}
+	cfg := machine.LLCSpec{SizeBytes: 1 << 16, Ways: 8, LineBytes: 64}
 	if r := mem.StreamMissRate(cfg, 1<<20, 64); r < 0.95 {
 		t.Fatalf("cache sim: oversized stream miss rate %g, want ~1 (threshold model assumes 1)", r)
 	}

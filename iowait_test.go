@@ -3,6 +3,8 @@ package prophet
 import (
 	"context"
 	"testing"
+
+	"prophet/internal/sim/simtest"
 )
 
 // ioProgram is a loop whose tasks spend most of their time blocked on I/O:
@@ -23,7 +25,7 @@ func ioProgram(nTasks int) Program {
 
 func TestIOWaitProfilesAsWNode(t *testing.T) {
 	p, err := ProfileProgramCtx(context.Background(), ioProgram(4), &Options{
-		Machine: testMachine(2), DisableMemoryModel: true, CompressTolerance: -1,
+		Machine: simtest.Machine(2), DisableMemoryModel: true, CompressTolerance: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +50,7 @@ func TestIOWaitProfilesAsWNode(t *testing.T) {
 // (conservatively) does not.
 func TestIOWaitOverlapsOnMachine(t *testing.T) {
 	p, err := ProfileProgramCtx(context.Background(), ioProgram(8), &Options{
-		Machine: testMachine(2), DisableMemoryModel: true,
+		Machine: simtest.Machine(2), DisableMemoryModel: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestIOWaitPipelineStage(t *testing.T) {
 		}
 		ctx.PipeEnd()
 	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"prophet/internal/sim/simtest"
 )
 
 // TestObserverEndToEnd drives the full pipeline with an Observer attached:
@@ -18,7 +20,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	buf := &TraceBuffer{}
 	reg := &Metrics{}
 	p, err := ProfileProgramCtx(context.Background(), balancedProgram(16, 50_000), &Options{
-		Machine:            testMachine(4),
+		Machine:            simtest.Machine(4),
 		DisableMemoryModel: true,
 		Observer:           Observer{Trace: buf, Metrics: reg},
 	})
@@ -88,7 +90,7 @@ func TestObserverEndToEnd(t *testing.T) {
 // unknown section reports not-found.
 func TestExplainBurdenDisabledGate(t *testing.T) {
 	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
-		Machine:            testMachine(2),
+		Machine:            simtest.Machine(2),
 		DisableMemoryModel: true,
 	})
 	if err != nil {
@@ -131,7 +133,7 @@ func (c *countdownCtx) Err() error {
 // error, and the point that observed the cancellation carries it in Err.
 func TestCurveCtxPartialOnCancel(t *testing.T) {
 	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
-		Machine:            testMachine(4),
+		Machine:            simtest.Machine(4),
 		DisableMemoryModel: true,
 	})
 	if err != nil {
@@ -169,7 +171,7 @@ func TestCurveCtxPartialOnCancel(t *testing.T) {
 // TestTimelineCtxReturnsError pins the contract: TimelineCtx returns a
 // ground-truth failure along with the partial timeline recorded up to it.
 func TestTimelineCtxReturnsError(t *testing.T) {
-	mc := testMachine(2)
+	mc := simtest.Machine(2)
 	mc.MaxEvents = 10 // far below what any real run needs
 	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 10_000), &Options{
 		Machine:            mc,
@@ -206,7 +208,7 @@ func TestTimelineCtxBytes(t *testing.T) {
 	var user TraceBuffer
 	for _, o := range []Observer{{}, {Trace: &user}} {
 		p, err := ProfileProgramCtx(context.Background(), prog, &Options{
-			Machine: testMachine(2), DisableMemoryModel: true, Observer: o,
+			Machine: simtest.Machine(2), DisableMemoryModel: true, Observer: o,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"prophet/internal/sim/simtest"
 )
 
 // pipelineProgram is an annotated 3-stage pipeline: read (fast), process
@@ -23,7 +25,7 @@ func pipelineProgram(ctx Context) {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	prof, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4)})
+	prof, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: simtest.Machine(4)})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -59,11 +61,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineCompressionPreservesSemantics(t *testing.T) {
 	// The 40 identical iterations compress to one Repeat=40 task; the
 	// prediction must be unchanged.
-	compressed, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4)})
+	compressed, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: simtest.Machine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: testMachine(4), CompressTolerance: -1})
+	raw, err := ProfileProgramCtx(context.Background(), pipelineProgram, &Options{Machine: simtest.Machine(4), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestStageBreakInOrdinaryTaskIsHarmless(t *testing.T) {
 		ctx.TaskEnd()
 		ctx.SecEnd(false)
 	}
-	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(2), CompressTolerance: -1})
+	prof, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(2), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

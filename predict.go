@@ -147,7 +147,7 @@ func (p *Profile) threadsOf(req Request) int {
 	if req.Threads > 0 {
 		return req.Threads
 	}
-	return p.opts.Machine.Normalized().Cores
+	return p.opts.Machine.Spec.Cores()
 }
 
 // EstimateCtx runs one prediction against the profile. The emulated
@@ -250,16 +250,12 @@ func (p *Profile) emulate(ctx context.Context, req Request) (float64, error) {
 	case CriticalPathBound:
 		return baseline.KismetBound(p.Tree, t), nil
 	default: // FastForward
-		var speeds []float64
-		if s := p.opts.Machine.Spec; s != nil {
-			speeds = s.CoreSpeeds(t)
-		}
 		e := &ff.Emulator{
 			Threads:   t,
 			Sched:     req.Sched,
 			Ov:        omprt.DefaultOverheads(),
 			UseBurden: useMem,
-			Speeds:    speeds,
+			Speeds:    p.opts.Machine.Spec.CoreSpeeds(t),
 			Tracer:    p.opts.Observer.Trace,
 		}
 		return e.SpeedupCtx(ctx, p.Tree)

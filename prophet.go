@@ -27,7 +27,6 @@ package prophet
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"prophet/internal/clock"
@@ -45,8 +44,8 @@ import (
 
 // Options configures profiling and prediction.
 type Options struct {
-	// Machine is the simulated target machine. The zero value is the
-	// paper's 12-core configuration.
+	// Machine is the simulated target machine. A nil Machine.Spec is the
+	// paper's 12-core preset (DefaultMachineSpec).
 	Machine sim.Config
 	// ThreadCounts are the CPU counts predictions will be requested for;
 	// the memory model assigns one burden factor per count. Default:
@@ -90,6 +89,7 @@ func (o *Options) withDefaults() Options {
 	if o != nil {
 		out = *o
 	}
+	out.Machine = out.Machine.Normalized()
 	if len(out.ThreadCounts) == 0 {
 		out.ThreadCounts = DefaultThreadCounts()
 	}
@@ -135,21 +135,8 @@ type Profile struct {
 	surrKey   string
 }
 
-// MachineName returns the name of the profile's target machine: the spec
-// name when profiled against a machine spec, the default preset's name
-// when the flat knobs match the paper machine, and "" for an unnamed
-// custom flat configuration.
-func (p *Profile) MachineName() string {
-	if s := p.opts.Machine.Spec; s != nil {
-		return s.Name
-	}
-	n := p.opts.Machine.Normalized()
-	d := sim.Config{Spec: machine.Default()}.Normalized()
-	if n.Cores == d.Cores && n.Quantum == d.Quantum && n.ContextSwitch == d.ContextSwitch && n.DRAM == d.DRAM {
-		return machine.DefaultName
-	}
-	return ""
-}
+// MachineName returns the name of the profile's target machine spec.
+func (p *Profile) MachineName() string { return p.opts.Machine.Spec.Name }
 
 // forMachine resolves a Request.Machine name to the profile to estimate
 // against: the receiver itself when the name is empty or already the
@@ -167,11 +154,7 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 	}
 	return p.variants.Get(name, func() (*Profile, error) {
 		vo := p.opts
-		vo.Machine = sim.Config{
-			Spec:           spec,
-			MaxEvents:      p.opts.Machine.MaxEvents,
-			MaxVirtualTime: p.opts.Machine.MaxVirtualTime,
-		}
+		vo.Machine.Spec = spec
 		vo.MemModel = nil // calibrate against the variant machine
 		if p.prog != nil {
 			return ProfileProgramCtx(ctx, p.prog, &vo)
@@ -188,26 +171,22 @@ func (p *Profile) forMachine(ctx context.Context, name string) (*Profile, error)
 var calibrated sweep.Cache[sim.Config, *memmodel.Model]
 
 func modelFor(ctx context.Context, mc sim.Config, threads []int) (*memmodel.Model, error) {
-	key := mc.Normalized()
-	return calibrated.Get(key, func() (*memmodel.Model, error) {
+	mc = mc.Normalized()
+	return calibrated.Get(mc, func() (*memmodel.Model, error) {
 		// Calibrate over a full ladder up to the core count, not just the
 		// requested thread counts: the Φ power-law fit needs several
 		// saturated operating points to be well-conditioned (§V-D).
-		ladder := map[int]bool{}
+		cores := mc.Spec.Cores()
+		var ts []int
 		for _, t := range threads {
-			if t >= 2 && t <= key.Cores {
-				ladder[t] = true
+			if t >= 2 && t <= cores {
+				ts = append(ts, t)
 			}
 		}
-		for t := 2; t <= key.Cores; t += 2 {
-			ladder[t] = true
-		}
-		var ts []int
-		for t := range ladder {
+		for t := 2; t <= cores; t += 2 {
 			ts = append(ts, t)
 		}
-		sort.Ints(ts)
-		m, _, err := memmodel.CalibrateCtx(ctx, key, ts)
+		m, _, err := memmodel.CalibrateCtx(ctx, mc, ts)
 		return m, err
 	})
 }
@@ -227,10 +206,7 @@ func ProfileProgramCtx(ctx context.Context, prog Program, opts *Options) (p *Pro
 	}
 	o := opts.withDefaults()
 	tm := o.Observer.Metrics.StartTimer(obs.MStageProfile)
-	// Normalize the machine first so spec-built configs (whose flat DRAM
-	// knobs are zero) profile against the spec's memory parameters; for
-	// legacy flat configs this matches the profiler's own defaulting.
-	root, prof, err := trace.Profile(prog, o.Machine.Normalized().DRAM)
+	root, prof, err := trace.Profile(prog, o.Machine.Spec.DRAM)
 	tm.Stop()
 	if err != nil {
 		return nil, err

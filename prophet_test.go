@@ -7,14 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"prophet/internal/sim"
+	"prophet/internal/sim/simtest"
 	"prophet/internal/tree"
 )
-
-// testMachine is a small, overhead-free machine so assertions are tight.
-func testMachine(cores int) MachineConfig {
-	return MachineConfig{Cores: cores, Quantum: 10_000, ContextSwitch: -1}
-}
 
 // balancedProgram is a simple annotated loop: n tasks of `work` cycles.
 func balancedProgram(n int, work int64) Program {
@@ -63,7 +58,7 @@ func advise(t testing.TB, p *Profile, opts *AdviseOptions) Advice {
 }
 
 func TestProfileAndEstimateRoundTrip(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatalf("ProfileProgramCtx: %v", err)
 	}
@@ -85,7 +80,7 @@ func TestProfileAndEstimateRoundTrip(t *testing.T) {
 }
 
 func TestEstimateDefaultsToMachineCores(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(4)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: simtest.Machine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +91,7 @@ func TestEstimateDefaultsToMachineCores(t *testing.T) {
 }
 
 func TestCurve(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(24, 50_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +110,7 @@ func TestCurve(t *testing.T) {
 }
 
 func TestRealSpeedupMatchesPredictionOnSimpleLoop(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(48, 100_000), &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +134,7 @@ func TestMemoryModelChangesMemoryBoundEstimate(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +151,7 @@ func TestMemoryModelChangesMemoryBoundEstimate(t *testing.T) {
 }
 
 func TestDisableMemoryModel(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 200_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 200_000), &Options{Machine: simtest.Machine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +175,7 @@ func TestBaselineMethods(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(8)})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +196,17 @@ func TestBaselineMethods(t *testing.T) {
 
 func TestAnnotationErrorsSurface(t *testing.T) {
 	bad := func(ctx Context) { ctx.TaskBegin("orphan") }
-	if _, err := ProfileProgramCtx(context.Background(), bad, &Options{Machine: testMachine(2)}); err == nil {
+	if _, err := ProfileProgramCtx(context.Background(), bad, &Options{Machine: simtest.Machine(2)}); err == nil {
 		t.Fatal("annotation error not surfaced")
 	}
 }
 
 func TestProfileTree(t *testing.T) {
-	p1, err := ProfileProgramCtx(context.Background(), balancedProgram(12, 20_000), &Options{Machine: testMachine(4)})
+	p1, err := ProfileProgramCtx(context.Background(), balancedProgram(12, 20_000), &Options{Machine: simtest.Machine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ProfileTreeCtx(context.Background(), p1.Tree.Clone(), &Options{Machine: testMachine(4)})
+	p2, err := ProfileTreeCtx(context.Background(), p1.Tree.Clone(), &Options{Machine: simtest.Machine(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +234,7 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestModelCacheReuse(t *testing.T) {
-	mc := sim.Config{Cores: 4, Quantum: 10_000, ContextSwitch: -1}
+	mc := simtest.Machine(4)
 	m1, err := modelFor(context.Background(), mc, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +245,18 @@ func TestModelCacheReuse(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Fatal("calibration not cached")
+	}
+	// A nil spec is the default machine: one cache entry, not two.
+	d1, err := CalibrateModelCtx(context.Background(), MachineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := CalibrateModelCtx(context.Background(), MachineConfig{Spec: DefaultMachineSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 != d2 {
+		t.Fatal("nil-spec and default-spec calibrations cached separately")
 	}
 }
 
@@ -265,7 +272,7 @@ func TestEstimateOnHost(t *testing.T) {
 		}
 		ctx.SecEnd(false)
 	}
-	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +299,7 @@ func TestExplainBurdenAndRegions(t *testing.T) {
 		ctx.SecEnd(false)
 		ctx.Compute(5_000, 0)
 	}
-	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: testMachine(12)})
+	p, err := ProfileProgramCtx(context.Background(), streaming, &Options{Machine: simtest.Machine(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +339,7 @@ func TestConcurrentUseOfLibrary(t *testing.T) {
 		g := g
 		go func() {
 			prog := balancedProgram(8+g, 50_000)
-			p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(4)})
+			p, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(4)})
 			if err != nil {
 				done <- err
 				return
@@ -376,7 +383,7 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 			ctx.SecEnd(false)
 		}
 	}
-	avg, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12), AverageBurdensByName: true, CompressTolerance: -1})
+	avg, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(12), AverageBurdensByName: true, CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +394,7 @@ func TestAverageBurdensByNameOption(t *testing.T) {
 	if secs[0].BurdenFor(12) != secs[1].BurdenFor(12) {
 		t.Fatalf("averaged burdens differ: %g vs %g", secs[0].BurdenFor(12), secs[1].BurdenFor(12))
 	}
-	perExec, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: testMachine(12), CompressTolerance: -1})
+	perExec, err := ProfileProgramCtx(context.Background(), prog, &Options{Machine: simtest.Machine(12), CompressTolerance: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +427,7 @@ func TestHostProfilePublicAPI(t *testing.T) {
 		ctx.TaskEnd()
 	}
 	ctx.SecEnd(false)
-	prof, err := hp.Finish(&Options{Machine: testMachine(4), DisableMemoryModel: true})
+	prof, err := hp.Finish(&Options{Machine: simtest.Machine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +456,7 @@ func TestHostProfileErrorsSurface(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 50_000), &Options{Machine: testMachine(4), DisableMemoryModel: true})
+	p, err := ProfileProgramCtx(context.Background(), balancedProgram(8, 50_000), &Options{Machine: simtest.Machine(4), DisableMemoryModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package prophet
 import (
 	"context"
 	"testing"
+
+	"prophet/internal/sim/simtest"
 )
 
 // TestTracedUntracedEquivalent checks that attaching an execution tracer
@@ -14,7 +16,7 @@ import (
 // observability is off.
 func TestTracedUntracedEquivalent(t *testing.T) {
 	prog := balancedProgram(24, 60_000)
-	mc := testMachine(12)
+	mc := simtest.Machine(12)
 
 	profile := func(o Observer) *Profile {
 		t.Helper()
